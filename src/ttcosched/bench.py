@@ -108,7 +108,8 @@ class SweepResult:
 
 def solve_point(instance: Instance, method: str, mode: str,
                 time_limit: float | None):
-    """(feasible, status, schedule) for one scaled, mode-applied instance."""
+    """(feasible, status, schedule, via_heuristic) for one scaled,
+    mode-applied instance; ``via_heuristic`` says whether 3-LS decided it."""
     if method == EXACT:
         # a constructive schedule is a valid feasibility certificate and is
         # much cheaper than search at high utilization; verdicts other than

@@ -12,8 +12,9 @@ predecessors.  A pair may enter level 3 only once, which bounds the loop.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .intervals import IntervalSet
 from .model import DerivedBounds, Instance, derive_bounds
@@ -26,7 +27,6 @@ class HeuristicConfig:
     # Two-period job windows match the solver's; the literal one-period
     # initialisation is kept for comparison runs.
     two_period_domains: bool = True
-    debug_domains: bool = False
     pair_node_limit: int = 100_000
     iteration_limit_factor: int = 50
 
@@ -44,9 +44,17 @@ class HeuristicStats:
 class DomainStore:
     """Admissible start-time domains derived from the scheduled set.
 
-    Keeps one sorted occupancy list per resource plus the scheduled start
-    vectors; per-activity domains are computed on demand, so inserting or
-    removing an activity costs only the occupancy-list edit.
+    Per resource it keeps the busy time as merged blocks ``[S, E)``: two
+    parallel sorted lists of block starts and ends.  Rows on a resource never
+    overlap (``insert`` raises ValueError for one that would), so ``insert``
+    merges a job's row with at most two adjacent blocks and ``remove`` splits
+    its block into at most two.  A job with execution time ``e`` fits in the
+    gap between blocks ``[S_k, E_k)`` and ``[S_{k+1}, E_{k+1})`` at the
+    starts ``[E_k, S_{k+1} - e]``, so ``domains`` walks only the blocks
+    inside each job window.  The first- and last-job rows of the scheduled
+    activities are kept sorted per resource too: through the hyper-period
+    wrap they also constrain the last and the first job of the activity
+    asked about.
     """
 
     def __init__(self, instance: Instance, bounds: DerivedBounds,
@@ -55,27 +63,66 @@ class DomainStore:
         self.bounds = bounds
         self.config = config or HeuristicConfig()
         self.sched: dict[int, tuple[int, ...]] = {}
-        # per resource: parallel sorted lists of (start, end, act)
-        self._occ: dict[int, list[tuple[int, int, int]]] = {
-            r: [] for r in range(instance.platform.resources)}
+        resources = range(instance.platform.resources)
+        # per resource: (block starts, block ends)
+        self._blocks: dict[int, tuple[list[int], list[int]]] = {
+            r: ([], []) for r in resources}
+        # per resource: sorted (start, end) rows of first and of last jobs
+        self._firsts: dict[int, list[tuple[int, int]]] = {r: [] for r in resources}
+        self._lasts: dict[int, list[tuple[int, int]]] = {r: [] for r in resources}
 
     def insert(self, act: int, starts) -> None:
         a = self.instance.activities[act]
-        self.sched[act] = tuple(starts)
-        occ = self._occ[a.resource]
+        e = a.exec_time
+        starts = tuple(starts)
+        bs, be = self._blocks[a.resource]
         for s in starts:
-            row = (s, s + a.exec_time, act)
-            occ.insert(bisect_left(occ, row), row)
+            t = s + e
+            i = bisect_right(bs, s)
+            if (i and be[i - 1] > s) or (i < len(bs) and bs[i] < t):
+                raise ValueError(
+                    f"activity {act}: job at {s} overlaps the scheduled set")
+            joins_left = i and be[i - 1] == s
+            joins_right = i < len(bs) and bs[i] == t
+            if joins_left and joins_right:
+                be[i - 1] = be[i]
+                del bs[i], be[i]
+            elif joins_left:
+                be[i - 1] = t
+            elif joins_right:
+                bs[i] = s
+            else:
+                bs.insert(i, s)
+                be.insert(i, t)
+        insort(self._firsts[a.resource], (starts[0], starts[0] + e))
+        insort(self._lasts[a.resource], (starts[-1], starts[-1] + e))
+        self.sched[act] = starts
 
     def remove(self, acts) -> None:
-        acts = set(acts)
-        for act in acts:
-            if act not in self.sched:
+        for act in set(acts):
+            starts = self.sched.pop(act, None)
+            if starts is None:
                 continue
             a = self.instance.activities[act]
-            occ = self._occ[a.resource]
-            self._occ[a.resource] = [row for row in occ if row[2] != act]
-            del self.sched[act]
+            e = a.exec_time
+            bs, be = self._blocks[a.resource]
+            for s in starts:
+                t = s + e
+                i = bisect_right(bs, s) - 1
+                block_start, block_end = bs[i], be[i]
+                if block_start == s and block_end == t:
+                    del bs[i], be[i]
+                elif block_start == s:
+                    bs[i] = t
+                elif block_end == t:
+                    be[i] = s
+                else:
+                    be[i] = s
+                    bs.insert(i + 1, t)
+                    be.insert(i + 1, block_end)
+            for rows, s in ((self._firsts[a.resource], starts[0]),
+                            (self._lasts[a.resource], starts[-1])):
+                del rows[bisect_left(rows, (s, s + e))]
 
     def window(self, act: int, job: int) -> tuple[int, int]:
         """Initial admissible interval of job ``job`` (1-based)."""
@@ -89,92 +136,65 @@ class DomainStore:
             hi = job * a.period - ta - a.exec_time - 1
         return lo, hi
 
-    @staticmethod
-    def _collect(forb, spans, lo, hi, e_self: int, shift: int, max_exec: int):
-        """Append forbidden start ranges from occupied ``spans`` (shifted)."""
-        if not spans:
-            return
-        # span (s, end) forbids starts in [s - e_self + 1, end - 1]; spans are
-        # sorted by start and end - s <= max_exec, so begin just left of lo.
-        k = bisect_left(spans, (lo - shift - max_exec, 0, 0))
-        for s, end, _act in spans[k:]:
-            s += shift
-            end += shift
-            if end - 1 < lo:
-                continue
-            if s - e_self + 1 > hi:
-                break
-            forb.append((s - e_self + 1, end - 1))
-
-    @staticmethod
-    def _complement(lo: int, hi: int, forb) -> IntervalSet:
-        """Admissible set [lo, hi] minus the forbidden ranges, in one sweep."""
-        out = []
-        cur = lo
-        forb.sort()
-        for s, e in forb:
-            if e < cur:
-                continue
-            if s > hi:
-                break
-            if s > cur:
-                out.append((cur, s - 1))
-            if e + 1 > cur:
-                cur = e + 1
-            if cur > hi:
-                break
-        if cur <= hi:
-            out.append((cur, hi))
-        dom = IntervalSet.__new__(IntervalSet)
-        dom._ivs = out
-        return dom
-
     def domains(self, act: int) -> list[IntervalSet]:
         """Current domain of every job of ``act`` given the scheduled set."""
         inst = self.instance
         a = inst.activities[act]
+        e, p, res = a.exec_time, a.period, a.resource
         n = self.bounds.jobs[act]
         hyper = self.bounds.hyper_period
-        occ = self._occ[a.resource]
-        max_exec = max((inst.activities[x].exec_time
-                        for x in range(inst.n)
-                        if inst.activities[x].resource == a.resource),
-                       default=1)
-        firsts = sorted((self.sched[x][0], self.sched[x][0] + inst.activities[x].exec_time, x)
-                        for x in self.sched
-                        if inst.activities[x].resource == a.resource)
-        lasts = sorted((self.sched[x][-1], self.sched[x][-1] + inst.activities[x].exec_time, x)
-                       for x in self.sched
-                       if inst.activities[x].resource == a.resource)
-        preds = [w for w in inst.dag.pred[act] if w in self.sched]
+        bs, be = self._blocks[res]
+        preds = [(self.sched[w], inst.activities[w].exec_time)
+                 for w in inst.dag.pred[act] if w in self.sched]
+        lo1, hi1 = self.window(act, 1)
         out = []
-        for j in range(1, n + 1):
-            lo, hi = self.window(act, j)
-            for w in preds:
-                lo = max(lo, self.sched[w][j - 1] + inst.activities[w].exec_time)
-            forb: list[tuple[int, int]] = []
-            self._collect(forb, occ, lo, hi, a.exec_time, 0, max_exec)
-            if j == 1:
-                # wrap: this first job (+H) against last-period jobs, i.e.
-                # last jobs shifted -H against this job.
-                self._collect(forb, lasts, lo, hi, a.exec_time, -hyper, max_exec)
-            if j == n:
-                # wrap: first-period jobs (+H) against this last job.
-                self._collect(forb, firsts, lo, hi, a.exec_time, hyper, max_exec)
-            out.append(self._complement(lo, hi, forb))
+        for j in range(n):
+            lo = lo1 + j * p
+            hi = hi1 + j * p
+            for pred_starts, pred_e in preds:
+                if pred_starts[j] + pred_e > lo:
+                    lo = pred_starts[j] + pred_e
+            # the blocks ending after lo that start before hi + e
+            k0 = bisect_right(be, lo)
+            k1 = bisect_left(bs, hi + e, k0)
+            busy = zip(bs[k0:k1], be[k0:k1])
+            if j == 0 or j == n - 1:
+                # wrap: this first job (+H) meets the last jobs, i.e. the
+                # last jobs shifted by -H; the first jobs (+H) meet this
+                # last job.  These rows may overlap the blocks.
+                busy = list(busy)
+                if j == 0:
+                    busy += _shifted(self._lasts[res], lo, hi + e, -hyper)
+                if j == n - 1:
+                    busy += _shifted(self._firsts[res], lo, hi + e, hyper)
+                busy.sort()
+            # busy intervals come sorted by start: the gap from cur (lo, or
+            # the latest end so far) to the next start s admits [cur, s - e]
+            ivs = []
+            cur = lo
+            for s, t in busy:
+                top = s - e
+                if top >= cur:
+                    if top >= hi:
+                        break
+                    ivs.append((cur, top))
+                    cur = t
+                elif t > cur:
+                    cur = t
+            if cur <= hi:
+                ivs.append((cur, hi))
+            dom = IntervalSet.__new__(IntervalSet)
+            dom._ivs = ivs
+            out.append(dom)
         return out
 
-    def check_consistency(self) -> bool:
-        """Debug: occupancy lists must equal a from-scratch rebuild."""
-        for res, occ in self._occ.items():
-            fresh = sorted(
-                (s, s + self.instance.activities[x].exec_time, x)
-                for x, starts in self.sched.items()
-                if self.instance.activities[x].resource == res
-                for s in starts)
-            if fresh != occ:
-                return False
-        return True
+
+def _shifted(rows, lo: int, stop: int, shift: int) -> list[tuple[int, int]]:
+    """``rows`` moved by ``shift`` that may end after ``lo`` and start before
+    ``stop``; rows never overlap, so at most one starts before ``lo``."""
+    i = max(bisect_left(rows, (lo - shift,)) - 1, 0)
+    k = bisect_left(rows, (stop - shift,), i)
+    return [(s + shift, t + shift) for s, t in rows[i:k]]
 
 
 def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
@@ -290,7 +310,14 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
                   a.id)
            for a in instance.activities}
     thresh = min(a.period for a in instance.activities)
+    pred, succ = instance.dag.pred, instance.dag.succ
     pending = set(range(n))
+    # per activity: how many of its predecessors are pending
+    waiting = [len(pred[x]) for x in range(n)]
+    # keys (each ending with its activity id) of activities that were ready
+    # when pushed; stale ones are dropped when they reach the top
+    ready = [key[x] for x in range(n) if not waiting[x]]
+    heapify(ready)
     problematic: set[int] = set()
     scratch: set[int] = set()
     level3_pairs: set[frozenset] = set()
@@ -303,31 +330,40 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
         stats.wall = time.monotonic() - t0
         return None, stats
 
-    def ready_pop():
-        best = None
-        for x in pending:
-            if any(w in pending for w in instance.dag.pred[x]):
-                continue
-            if best is None or key[x] < key[best]:
-                best = x
-        return best
+    def next_ready():
+        """The pending activity with no pending predecessor and least key."""
+        while ready:
+            x = ready[0][-1]
+            if x in pending and not waiting[x]:
+                return x
+            heappop(ready)
+        return None
 
     def do_insert(placements: dict):
         for act, starts in placements.items():
             store.insert(act, starts)
-            pending.discard(act)
-        if config.debug_domains:
-            assert store.check_consistency(), "occupancy drifted from schedule"
+            pending.remove(act)
+            for s in succ[act]:
+                waiting[s] -= 1
+                if not waiting[s] and s in pending:
+                    heappush(ready, key[s])
+
+    def release(acts):
+        """Unschedule the scheduled ``acts`` and make them pending again."""
+        store.remove(acts)
+        pending.update(acts)
+        for act in acts:
+            for s in succ[act]:
+                waiting[s] += 1
+        for act in acts:
+            if not waiting[act]:
+                heappush(ready, key[act])
 
     def do_unschedule(act: int):
         victims = {act} | {s for s in instance.dag.succ_closure[act]
                            if s in store.sched}
-        store.remove(victims)
-        pending.update(victims)
+        release(victims)
         stats.unschedules += 1
-        if config.debug_domains:
-            assert store.check_consistency(), "occupancy drifted from schedule"
-        return victims
 
     iterations = 0
     while len(store.sched) < n:
@@ -337,7 +373,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
         if time_limit is not None and time.monotonic() - t0 > time_limit:
             return fail("timeout")
 
-        a_c = retry if retry is not None and retry in pending else ready_pop()
+        a_c = retry if retry is not None and retry in pending else next_ready()
         retry = None
         if a_c is None:
             return fail("no_ready_activity")
@@ -356,9 +392,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
                 return fail("level3_exhausted")
             solo_restarts.add(a_c)
             keep = scratch | set(instance.dag.pred_closure[a_c])
-            do_unschedule_many = [x for x in list(store.sched) if x not in keep]
-            store.remove(do_unschedule_many)
-            pending.update(do_unschedule_many)
+            release([x for x in store.sched if x not in keep])
             placement = sub_model(instance, bounds, store, a_c, None, config)
             stats.level3 += 1
             if placement is None:
@@ -385,12 +419,11 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
             return fail("level3_exhausted")
         level3_pairs.add(pair)
         stats.level3 += 1
-        assert stats.level3 <= n * n, "level-3 invocation bound exceeded"
+        if stats.level3 > n * n:
+            raise RuntimeError("level-3 invocation bound exceeded")
         keep = (scratch | set(instance.dag.pred_closure[a_c])
                 | set(instance.dag.pred_closure[a_u]))
-        removed = [x for x in list(store.sched) if x not in keep]
-        store.remove(removed)
-        pending.update(removed)
+        release([x for x in store.sched if x not in keep])
         placement = sub_model(instance, bounds, store, a_c, a_u, config)
         if placement is None:
             return fail("fail")
@@ -402,6 +435,8 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
     zj = tuple(a.jitter == 0 for a in instance.activities)
     schedule = Schedule(tuple(tuple(r) for r in rows), zj)
     report = validate(instance, schedule)
-    assert report.ok, f"heuristic produced an invalid schedule: {report.violations[:3]}"
+    if not report.ok:
+        raise RuntimeError(
+            f"heuristic produced an invalid schedule: {report.violations[:3]}")
     stats.wall = time.monotonic() - t0
     return schedule, stats

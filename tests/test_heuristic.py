@@ -1,7 +1,14 @@
+import dataclasses
 import itertools
 import random
 
+import pytest
+
 from oracle_utils import fig1_witness, random_tiny_instance
+from rowstore_oracle import fresh_blocks, row_domains
+from ttcosched import bench, generator, heuristic
+from ttcosched.bench import apply_mode
+from ttcosched.generator import GenParams
 from ttcosched.heuristic import (DomainStore, HeuristicConfig,
                                  choose_unschedule, run_3ls, sub_model)
 from ttcosched.intervals import IntervalSet
@@ -124,7 +131,7 @@ def test_insert_unit_point_removal_and_pred_trim():
     store = DomainStore(inst, bounds)
     store.insert(0, (4,))
     # co-mapped unit activity loses exactly point 4
-    assert 4 not in store.domains(2)[0].points() or True
+    assert 4 not in store.domains(2)[0].points()
     dom1 = store.domains(1)[0]
     assert 4 not in dom1
     # successor trimmed below the predecessor finish
@@ -204,12 +211,110 @@ def test_run_3ls_unschedule_path_reaches_level2():
     assert stats.level2 == 1
 
 
-def test_run_3ls_debug_domain_consistency():
+def _random_start(rng, dom):
+    """A start in ``dom``: an interval end (to exercise block merges) or inside."""
+    lo, hi = rng.choice(dom.intervals)
+    return rng.choice((lo, hi, rng.randint(lo, hi)))
+
+
+def _random_placement(rng, store, act):
+    """Starts for every job of ``act`` inside its domains, or None."""
+    e = store.instance.activities[act].exec_time
+    starts = []
+    for dom in store.domains(act):
+        if dom.is_empty():
+            return None
+        for _ in range(5):
+            s = _random_start(rng, dom)
+            if all(s + e <= x or x + e <= s for x in starts):
+                starts.append(s)
+                break
+        else:
+            return None
+    return starts
+
+
+def _assert_matches_rows(store):
+    inst = store.instance
+    blocks = {r: list(zip(starts, ends))
+              for r, (starts, ends) in store._blocks.items()}
+    assert blocks == fresh_blocks(store)
+    for act in range(inst.n):
+        assert store.domains(act) == row_domains(store, act), act
+
+
+def test_domain_store_matches_row_oracle_under_random_edits():
     rng = random.Random(10)
-    cfg = HeuristicConfig(debug_domains=True)
-    for _ in range(5):
-        inst = random_tiny_instance(rng)
-        run_3ls(inst, config=cfg)  # asserts internally
+    instances = [random_tiny_instance(rng) for _ in range(6)]
+    for set_id, u, mode in ((1, 0.5, "jc:p5"), (2, 0.4, "zj"), (2, 0.6, "jc:p5")):
+        base = generator.generate(GenParams.from_set(set_id, 0))
+        instances.append(apply_mode(generator.scale_to_utilization(base, u), mode))
+    for inst in instances:
+        config = HeuristicConfig(two_period_domains=rng.random() < 0.7)
+        store = DomainStore(inst, derive_bounds(inst), config)
+        for _step in range(80):
+            pending = [x for x in range(inst.n) if x not in store.sched]
+            roll = rng.random()
+            if pending and (roll < 0.75 or not store.sched):
+                act = rng.choice(pending)
+                starts = _random_placement(rng, store, act)
+                if starts is not None:
+                    store.insert(act, starts)
+            elif roll < 0.85:
+                # one activity, and one not scheduled, which remove skips
+                store.remove([rng.choice(list(store.sched))] + pending[:1])
+            elif roll < 0.97:
+                # unschedule an activity with its scheduled successors
+                act = rng.choice(list(store.sched))
+                store.remove({act} | (inst.dag.succ_closure[act] & store.sched.keys()))
+            else:
+                # level-3 style: remove all but a few
+                keep = set(rng.sample(list(store.sched), min(2, len(store.sched))))
+                store.remove([x for x in store.sched if x not in keep])
+            _assert_matches_rows(store)
+
+
+def test_insert_rejects_overlapping_rows():
+    inst, bounds = _running_example()
+    store = DomainStore(inst, bounds)
+    store.insert(5, (4,))
+    with pytest.raises(ValueError, match="overlaps"):
+        store.insert(6, (4,))
+
+
+SET2_SWEEP_POINTS = [(seed, mode) for seed in (0, 1) for mode in ("zj", "jc:p5")]
+
+
+@pytest.mark.parametrize("seed,mode", SET2_SWEEP_POINTS)
+def test_run_3ls_on_set2_places_like_the_row_oracle(monkeypatch, seed, mode):
+    class RowChecked(heuristic.DomainStore):
+        def domains(self, act):
+            got = super().domains(act)
+            want = row_domains(self, act)
+            assert got == want, act
+            return want
+
+    base = generator.generate(GenParams.from_set(2, seed))
+    top = bench.max_util_sweep(base, "3ls", mode).max_util
+    for u in range(top - 10, top + 2):
+        inst = apply_mode(generator.scale_to_utilization(base, u / 100), mode)
+        plain, plain_stats = run_3ls(inst)
+        with monkeypatch.context() as m:
+            m.setattr(heuristic, "DomainStore", RowChecked)
+            checked, checked_stats = run_3ls(inst)
+        assert plain == checked, u
+        assert plain_stats.level1 == checked_stats.level1 > 0
+        assert plain_stats.status == checked_stats.status
+        assert (u <= top) == (plain is not None)
+
+
+def test_run_3ls_raises_when_its_schedule_fails_validation(monkeypatch):
+    inst = fig1_witness()
+    report = validate(inst, run_3ls(inst)[0])
+    monkeypatch.setattr(heuristic, "validate",
+                        lambda *_: dataclasses.replace(report, ok=False))
+    with pytest.raises(RuntimeError, match="invalid schedule"):
+        run_3ls(inst)
 
 
 def test_sub_model_jitter_guard_blocks_invalid_greedy():

@@ -7,6 +7,12 @@ not fit, level 1 unschedules a victim and retries; level 2 co-schedules the
 two repeat offenders as a pair; level 3 restarts from an almost-empty
 schedule keeping only previously level-3-scheduled activities and the pair's
 predecessors.  A pair may enter level 3 only once, which bounds the loop.
+
+A single activity is placed without a search ``Engine``: its least placement
+is the least fixpoint of lower-bound propagation over its arcs, computed by
+alternating passes over its jobs.  That reads only each job domain's least
+member and ``snap_ge``, so the domains list their gaps only for a pair,
+which still builds an Engine and searches.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .intervals import IntervalSet
-from .model import DerivedBounds, Instance, derive_bounds
+from .model import Activity, DerivedBounds, Instance, derive_bounds
 from .search import INCUMBENT, OPTIMAL, Engine
 from .validation import Schedule, validate
 
@@ -50,8 +56,8 @@ class DomainStore:
     merges a job's row with at most two adjacent blocks and ``remove`` splits
     its block into at most two.  A job with execution time ``e`` fits in the
     gap between blocks ``[S_k, E_k)`` and ``[S_{k+1}, E_{k+1})`` at the
-    starts ``[E_k, S_{k+1} - e]``, so ``domains`` walks only the blocks
-    inside each job window.  The first- and last-job rows of the scheduled
+    starts ``[E_k, S_{k+1} - e]``, so a job's domain needs only the blocks
+    inside its window.  The first- and last-job rows of the scheduled
     activities are kept sorted per resource too: through the hyper-period
     wrap they also constrain the last and the first job of the activity
     asked about.
@@ -137,7 +143,13 @@ class DomainStore:
         return lo, hi
 
     def domains(self, act: int) -> list[IntervalSet]:
-        """Current domain of every job of ``act`` given the scheduled set."""
+        """Current domain of every job of ``act`` given the scheduled set.
+
+        Each is a ``_JobDomain`` holding its window and the busy blocks
+        inside it.  Its least member is found here; its gaps are listed only
+        when something reads them (an Engine over a pair, ``==`` or
+        ``intervals``), so placing a single activity lists none.
+        """
         inst = self.instance
         a = inst.activities[act]
         e, p, res = a.exec_time, a.period, a.resource
@@ -157,36 +169,92 @@ class DomainStore:
             # the blocks ending after lo that start before hi + e
             k0 = bisect_right(be, lo)
             k1 = bisect_left(bs, hi + e, k0)
-            busy = zip(bs[k0:k1], be[k0:k1])
-            if j == 0 or j == n - 1:
-                # wrap: this first job (+H) meets the last jobs, i.e. the
-                # last jobs shifted by -H; the first jobs (+H) meet this
-                # last job.  These rows may overlap the blocks.
-                busy = list(busy)
-                if j == 0:
-                    busy += _shifted(self._lasts[res], lo, hi + e, -hyper)
-                if j == n - 1:
-                    busy += _shifted(self._firsts[res], lo, hi + e, hyper)
-                busy.sort()
-            # busy intervals come sorted by start: the gap from cur (lo, or
-            # the latest end so far) to the next start s admits [cur, s - e]
-            ivs = []
-            cur = lo
-            for s, t in busy:
-                top = s - e
-                if top >= cur:
-                    if top >= hi:
-                        break
-                    ivs.append((cur, top))
-                    cur = t
-                elif t > cur:
-                    cur = t
-            if cur <= hi:
-                ivs.append((cur, hi))
-            dom = IntervalSet.__new__(IntervalSet)
-            dom._ivs = ivs
-            out.append(dom)
+            starts, ends = bs[k0:k1], be[k0:k1]
+            # wrap: this first job (+H) meets the last jobs, i.e. the last
+            # jobs shifted by -H; the first jobs (+H) meet this last job
+            if j == 0:
+                _add_rows(starts, ends,
+                          _shifted(self._lasts[res], lo, hi + e, -hyper))
+            if j == n - 1:
+                _add_rows(starts, ends,
+                          _shifted(self._firsts[res], lo, hi + e, hyper))
+            out.append(_JobDomain(lo, hi, e, starts, ends))
         return out
+
+
+class _JobDomain(IntervalSet):
+    """The starts in ``[lo, hi]`` of a job of ``e`` ticks that meet none of
+    the busy blocks ``[starts[k], ends[k])``, which are sorted and disjoint.
+
+    ``least``, ``min``, ``is_empty`` and ``snap_ge`` walk the blocks.  The
+    gaps are listed the first time anything else reads ``_ivs``, through
+    which every other ``IntervalSet`` method works.
+    """
+
+    __slots__ = ("lo", "hi", "e", "starts", "ends", "least", "_gaps")
+
+    def __init__(self, lo: int, hi: int, e: int, starts: list[int],
+                 ends: list[int]):
+        self.lo, self.hi, self.e = lo, hi, e
+        self.starts, self.ends = starts, ends
+        self._gaps = None
+        self.least = self.snap_ge(lo)
+
+    @property
+    def _ivs(self) -> list[tuple[int, int]]:
+        if self._gaps is None:
+            self._gaps = self._list_gaps()
+        return self._gaps
+
+    def _list_gaps(self) -> list[tuple[int, int]]:
+        # the gap from cur (a member, or the end of a block) to the next
+        # block's start s admits [cur, s - e]
+        cur, hi, e = self.least, self.hi, self.e
+        starts, ends = self.starts, self.ends
+        ivs = []
+        if cur is None:
+            return ivs
+        for k in range(bisect_right(ends, cur), len(starts)):
+            top = starts[k] - e
+            if top >= cur:
+                if top >= hi:
+                    break
+                ivs.append((cur, top))
+            cur = ends[k]
+        if cur <= hi:
+            ivs.append((cur, hi))
+        return ivs
+
+    def is_empty(self) -> bool:
+        return self.least is None
+
+    def min(self) -> int:
+        return self.least
+
+    def snap_ge(self, x: int):
+        """Smallest member >= x, or None."""
+        if x < self.lo:
+            x = self.lo
+        starts, ends, e = self.starts, self.ends, self.e
+        # blocks ending by x do not reach a start >= x
+        for k in range(bisect_right(ends, x), len(starts)):
+            if starts[k] - e >= x:
+                break
+            x = ends[k]
+        return x if x <= self.hi else None
+
+
+def _add_rows(starts: list[int], ends: list[int], rows) -> None:
+    """Merge ``[s, t)`` rows, which may overlap them, into the sorted
+    disjoint blocks ``starts``/``ends``."""
+    for s, t in rows:
+        # the blocks from i to k - 1 overlap or touch [s, t)
+        i = bisect_left(ends, s)
+        k = bisect_right(starts, t, i)
+        if i < k:
+            s, t = min(s, starts[i]), max(t, ends[k - 1])
+        starts[i:k] = [s]
+        ends[i:k] = [t]
 
 
 def _shifted(rows, lo: int, stop: int, shift: int) -> list[tuple[int, int]]:
@@ -203,13 +271,23 @@ def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
               time_limit: float | None = None):
     """Place all jobs of ``a1`` (and ``a2``) minimising the start-time sum.
 
-    Returns ``{act: starts}`` or None.  Non-jitter-critical single activities
-    reduce to greedy earliest placement (the least solution of the
-    precedence arcs); jitter-critical ones add the jitter arcs; pairs add the
-    mutual resource disjunctions and search.
+    Returns ``{act: starts}`` or None.  Each activity's jobs are joined by
+    the arcs of ``_job_arcs``.  A single activity takes the least solution
+    of its arcs, found by ``_least_starts`` without an Engine: greedy
+    earliest placement, which reads no gap list of its domains.  A pair adds
+    the mutual precedence arcs and resource disjunctions, and an Engine over
+    the gap lists of both activities' domains searches it within
+    ``time_limit`` and ``config.pair_node_limit``.
     """
+    if a2 is None:
+        doms = store.domains(a1)
+        if any(dom.is_empty() for dom in doms):
+            return None
+        starts = _least_starts(doms, _job_arcs(instance.activities[a1], bounds))
+        return None if starts is None else {a1: tuple(starts)}
+
     config = config or (store.config if store else HeuristicConfig())
-    acts = [a1] if a2 is None else [a1, a2]
+    acts = [a1, a2]
     doms: list[IntervalSet] = []
     index: dict[tuple[int, int], int] = {}
     for act in acts:
@@ -223,43 +301,29 @@ def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
     engine = Engine(doms)
     hyper = bounds.hyper_period
     for act in acts:
-        a = instance.activities[act]
-        n = bounds.jobs[act]
-        for j in range(1, n):
-            engine.add_arc(index[(act, j)], index[(act, j + 1)], a.exec_time)
-        if n >= 2:
-            engine.add_arc(index[(act, n)], index[(act, 1)], a.exec_time - hyper)
-        # Jitter arcs are dropped only when the windows already cap the
-        # deviation below the bound; the validator checks every activity.
-        if n >= 2 and a.jitter < a.period + bounds.slack[act]:
-            for j in range(1, n):
-                u, v = index[(act, j)], index[(act, j + 1)]
-                engine.add_arc(u, v, a.period - a.jitter)
-                engine.add_arc(v, u, -(a.period + a.jitter))
-            u1, un = index[(act, 1)], index[(act, n)]
-            engine.add_arc(u1, un, hyper - a.period - a.jitter)
-            engine.add_arc(un, u1, a.period - a.jitter - hyper)
+        first = index[(act, 1)]
+        for j, k, c in _job_arcs(instance.activities[act], bounds):
+            engine.add_arc(first + j, first + k, c)
 
-    if a2 is not None:
-        x, y = instance.activities[a1], instance.activities[a2]
-        for i, l in ((a1, a2), (a2, a1)):
-            if instance.dag.has_edge(i, l):
-                e_i = instance.activities[i].exec_time
-                for j in range(1, bounds.jobs[i] + 1):
-                    engine.add_arc(index[(i, j)], index[(l, j)], e_i)
-        if x.resource == y.resource:
-            n1, n2 = bounds.jobs[a1], bounds.jobs[a2]
-            for j in range(1, n1 + 1):
-                for k in range(1, n2 + 1):
-                    u, v = index[(a1, j)], index[(a2, k)]
-                    if (doms[u].min() < doms[v].max() + y.exec_time
-                            and doms[v].min() < doms[u].max() + x.exec_time):
-                        engine.add_disjunction(u, v, x.exec_time, y.exec_time)
-            # first-period (+H) against last-period wrap pairs
-            u, v = index[(a1, 1)], index[(a2, n2)]
-            engine.add_disjunction(u, v, x.exec_time + hyper, y.exec_time - hyper)
-            u, v = index[(a2, 1)], index[(a1, n1)]
-            engine.add_disjunction(u, v, y.exec_time + hyper, x.exec_time - hyper)
+    x, y = instance.activities[a1], instance.activities[a2]
+    for i, l in ((a1, a2), (a2, a1)):
+        if instance.dag.has_edge(i, l):
+            e_i = instance.activities[i].exec_time
+            for j in range(1, bounds.jobs[i] + 1):
+                engine.add_arc(index[(i, j)], index[(l, j)], e_i)
+    if x.resource == y.resource:
+        n1, n2 = bounds.jobs[a1], bounds.jobs[a2]
+        for j in range(1, n1 + 1):
+            for k in range(1, n2 + 1):
+                u, v = index[(a1, j)], index[(a2, k)]
+                if (doms[u].min() < doms[v].max() + y.exec_time
+                        and doms[v].min() < doms[u].max() + x.exec_time):
+                    engine.add_disjunction(u, v, x.exec_time, y.exec_time)
+        # first-period (+H) against last-period wrap pairs
+        u, v = index[(a1, 1)], index[(a2, n2)]
+        engine.add_disjunction(u, v, x.exec_time + hyper, y.exec_time - hyper)
+        u, v = index[(a2, 1)], index[(a1, n1)]
+        engine.add_disjunction(u, v, y.exec_time + hyper, x.exec_time - hyper)
 
     status, values, _stats = engine.minimize_sum(
         time_limit=time_limit, node_limit=config.pair_node_limit)
@@ -270,6 +334,60 @@ def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
         n = bounds.jobs[act]
         result[act] = tuple(values[index[(act, j)]] for j in range(1, n + 1))
     return result
+
+
+def _job_arcs(a: Activity, bounds: DerivedBounds) -> list[tuple[int, int, int]]:
+    """Arcs ``(j, k, c)``, meaning s_k >= s_j + c, between the jobs
+    ``0..n-1`` of activity ``a``.
+
+    They are the self arcs s_{j+1} >= s_j + e and their wrap
+    s_0 + H >= s_{n-1} + e, and the jitter band
+    p - jit <= s_{j+1} - s_j <= p + jit with its boundary pair between s_0
+    and s_{n-1}.  A self arc and the jitter arc on the same jobs are one arc
+    of the larger weight.  They come as a forward pass, the wrap and
+    boundary arcs, then a backward pass.
+    """
+    n = bounds.jobs[a.id]
+    if n < 2:
+        return []
+    e, p, jit, hyper = a.exec_time, a.period, a.jitter, bounds.hyper_period
+    # Jitter arcs are dropped only when the windows already cap the
+    # deviation below the bound; the validator checks every activity.
+    keep_jitter = jit < p + bounds.slack[a.id]
+    step = max(e, p - jit) if keep_jitter else e
+    arcs = [(j, j + 1, step) for j in range(n - 1)]
+    arcs.append((n - 1, 0, step - hyper))
+    if keep_jitter:
+        arcs.append((0, n - 1, hyper - p - jit))
+        arcs += [(j + 1, j, -(p + jit)) for j in range(n - 2, -1, -1)]
+    return arcs
+
+
+def _least_starts(doms: list[IntervalSet], arcs) -> list[int] | None:
+    """The least starts over ``doms`` that satisfy ``arcs``, or None.
+
+    The solutions of difference arcs over unary domains are closed under
+    pointwise minimum, so a least one exists whenever any does (Dechter,
+    Meiri and Pearl, "Temporal constraint networks", 1991).  Raising lower
+    bounds from each domain's least member along the arcs, snapping into
+    the domains, until none moves reaches it; a bound that snaps past its
+    domain's top proves there is none.  Bounds only rise within finite
+    domains, so the passes stop; no cycle of ``_job_arcs`` weighs more than
+    0, so no bound creeps up a cycle tick by tick.
+    """
+    lb = [dom.min() for dom in doms]
+    moved = True
+    while moved:
+        moved = False
+        for j, k, c in arcs:
+            need = lb[j] + c
+            if need > lb[k]:
+                need = doms[k].snap_ge(need)
+                if need is None:
+                    return None
+                lb[k] = need
+                moved = True
+    return lb
 
 
 def choose_unschedule(instance: Instance, bounds: DerivedBounds,
@@ -296,7 +414,11 @@ def choose_unschedule(instance: Instance, bounds: DerivedBounds,
 def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
             config: HeuristicConfig | None = None,
             time_limit: float | None = None):
-    """Run the heuristic; returns (Schedule | None, HeuristicStats)."""
+    """Run the heuristic; returns (Schedule | None, HeuristicStats).
+
+    ``time_limit`` bounds the whole run, pair searches included: a run past
+    it ends with status ``timeout``.
+    """
     t0 = time.monotonic()
     if bounds is None:
         bounds = derive_bounds(instance)
@@ -329,6 +451,15 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
         stats.status = reason
         stats.wall = time.monotonic() - t0
         return None, stats
+
+    def out_of_time() -> bool:
+        return time_limit is not None and time.monotonic() - t0 > time_limit
+
+    def remaining():
+        """Seconds left for a pair search, or None without a time limit."""
+        if time_limit is None:
+            return None
+        return max(0.0, time_limit - (time.monotonic() - t0))
 
     def next_ready():
         """The pending activity with no pending predecessor and least key."""
@@ -370,7 +501,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
         iterations += 1
         if iterations > iteration_limit:
             return fail("iteration_limit")
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
+        if out_of_time():
             return fail("timeout")
 
         a_c = retry if retry is not None and retry in pending else next_ready()
@@ -407,11 +538,14 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
             continue
 
         # level 2: co-schedule the two problematic activities
-        placement = sub_model(instance, bounds, store, a_c, a_u, config)
+        placement = sub_model(instance, bounds, store, a_c, a_u, config,
+                              remaining())
         if placement is not None:
             do_insert(placement)
             stats.level2 += 1
             continue
+        if out_of_time():
+            return fail("timeout")
 
         # level 3: almost from scratch
         pair = frozenset((a_c, a_u))
@@ -424,9 +558,10 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
         keep = (scratch | set(instance.dag.pred_closure[a_c])
                 | set(instance.dag.pred_closure[a_u]))
         release([x for x in store.sched if x not in keep])
-        placement = sub_model(instance, bounds, store, a_c, a_u, config)
+        placement = sub_model(instance, bounds, store, a_c, a_u, config,
+                              remaining())
         if placement is None:
-            return fail("fail")
+            return fail("timeout" if out_of_time() else "fail")
         do_insert(placement)
         scratch |= ({a_c, a_u} | set(instance.dag.pred_closure[a_c])
                     | set(instance.dag.pred_closure[a_u]))

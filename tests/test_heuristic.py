@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
+from engine_oracle import engine_place_one
 from oracle_utils import fig1_witness, random_tiny_instance
 from rowstore_oracle import fresh_blocks, row_domains
-from ttcosched import bench, generator, heuristic
+from subproblem_utils import brute_force_min_sum, random_subproblem
+from ttcosched import bench, generator, heuristic, search
 from ttcosched.bench import apply_mode
 from ttcosched.generator import GenParams
 from ttcosched.heuristic import (DomainStore, HeuristicConfig,
@@ -200,10 +203,15 @@ def test_run_3ls_zero_jitter_outputs_are_strictly_periodic():
     assert solved >= 5
 
 
+def _reaches_level2():
+    """A crowded tight-jitter instance where 3-LS runs one pair search."""
+    return random_tiny_instance(random.Random(2466), jit_divisor=20)
+
+
 def test_run_3ls_unschedule_path_reaches_level2():
     # crowded tight-jitter instance (found by seed scan) where a late
     # activity evicts a repeat offender and the pair level resolves it
-    inst = random_tiny_instance(random.Random(2466), jit_divisor=20)
+    inst = _reaches_level2()
     schedule, stats = run_3ls(inst)
     assert schedule is not None
     assert validate(inst, schedule).ok
@@ -240,7 +248,18 @@ def _assert_matches_rows(store):
               for r, (starts, ends) in store._blocks.items()}
     assert blocks == fresh_blocks(store)
     for act in range(inst.n):
-        assert store.domains(act) == row_domains(store, act), act
+        for got, want in zip(store.domains(act), row_domains(store, act),
+                             strict=True):
+            # the walks that list no gaps, then the gaps themselves
+            assert got.is_empty() == want.is_empty(), act
+            probes = {got.lo - 1, got.lo, got.hi, got.hi + 1}
+            for lo, hi in want.intervals:
+                probes |= {lo - 1, lo, hi, hi + 1}
+            for x in probes:
+                assert got.snap_ge(x) == want.snap_ge(x), (act, x)
+            if not want.is_empty():
+                assert got.min() == want.min(), act
+            assert got == want, act
 
 
 def test_domain_store_matches_row_oracle_under_random_edits():
@@ -327,3 +346,82 @@ def test_sub_model_jitter_guard_blocks_invalid_greedy():
     schedule, _ = run_3ls(inst)
     if schedule is not None:
         assert validate(inst, schedule).ok
+
+
+def test_single_placement_matches_brute_force_on_random_subproblems():
+    feasible = 0
+    for seed in range(300):
+        inst, bounds, store, doms, jit = random_subproblem(random.Random(seed))
+        a = inst.activities[0]
+        placement = sub_model(inst, bounds, store, 0)
+        best = brute_force_min_sum(doms, a.period, a.exec_time, jit,
+                                   bounds.hyper_period)
+        assert (placement is None) == (best is None), seed
+        if best is not None:
+            assert sum(placement[0]) == best, seed
+            feasible += 1
+    assert 200 <= feasible < 300
+
+
+ORACLE_SWEEPS = [(set_id, mode) for set_id in (1, 2, 3, 4) for mode in ("zj", "jc:p5")]
+
+
+@pytest.mark.parametrize("set_id,mode", ORACLE_SWEEPS)
+def test_single_placement_matches_the_engine_oracle(monkeypatch, set_id, mode):
+    """Every level-1 placement of 3-LS runs near the sweep maximum, None
+    included, equals the Engine's minimum-sum placement over the row
+    oracle's domains, and every job domain equals the row oracle's."""
+    checked = []
+
+    def checked_sub_model(instance, bounds, store, a1, a2=None, config=None,
+                          time_limit=None):
+        got = sub_model(instance, bounds, store, a1, a2, config, time_limit)
+        if a2 is None:
+            want = row_domains(store, a1)
+            assert store.domains(a1) == want, a1
+            assert got == engine_place_one(instance, bounds, want, a1), a1
+            checked.append(got is None)
+        return got
+
+    base = generator.generate(GenParams.from_set(set_id, 0))
+    top = bench.max_util_sweep(base, "3ls", mode).max_util
+    monkeypatch.setattr(heuristic, "sub_model", checked_sub_model)
+    for u in range(top - 10, top + 2):
+        inst = apply_mode(generator.scale_to_utilization(base, u / 100), mode)
+        schedule, _stats = run_3ls(inst)
+        assert (u <= top) == (schedule is not None), u
+    assert True in checked and False in checked
+
+
+def test_run_3ls_gives_pair_searches_the_time_left(monkeypatch):
+    limits = []
+    minimize_sum = search.Engine.minimize_sum
+
+    def recording(self, time_limit=None, node_limit=None):
+        limits.append(time_limit)
+        return minimize_sum(self, time_limit, node_limit)
+
+    monkeypatch.setattr(search.Engine, "minimize_sum", recording)
+    schedule, stats = run_3ls(_reaches_level2(), time_limit=30.0)
+    assert schedule is not None and stats.level2 == 1
+    assert limits and all(t is not None and 0 < t <= 30.0 for t in limits)
+
+
+@pytest.mark.parametrize("cut", [1, 2])
+def test_pair_search_cut_by_the_deadline_ends_the_run_as_timeout(monkeypatch, cut):
+    """The level-2 pair search (cut=1), or the level-3 one after a level-2
+    search that found nothing (cut=2), runs past the deadline."""
+    calls = []
+
+    def searched(self, time_limit=None, node_limit=None):
+        calls.append(time_limit)
+        if len(calls) < cut:
+            return search.UNSAT, None, search.SearchStats()
+        time.sleep(time_limit + 0.01)
+        return search.TIMEOUT, None, search.SearchStats()
+
+    monkeypatch.setattr(search.Engine, "minimize_sum", searched)
+    schedule, stats = run_3ls(_reaches_level2(), time_limit=0.2)
+    assert schedule is None
+    assert stats.status == "timeout"
+    assert len(calls) == cut

@@ -186,53 +186,66 @@ def generate(params: GenParams) -> Instance:
                            params.jitter_divisor)
 
 
+def _round_half_even(num: int, den: int) -> int:
+    """``round(Fraction(num, den))`` for ``den > 0``, without the Fraction."""
+    q, r = divmod(num, den)
+    return q + (2 * r > den or (2 * r == den and q % 2 == 1))
+
+
 def scale_to_utilization(instance: Instance, target: float,
                          tol: float = 0.01) -> Instance:
     """Rescale execution times so every non-empty resource hits ``target``.
 
-    Rounds to whole ticks (>= 1, <= period) and then nudges individual
-    activities until each resource is within ``tol`` of the target.
+    Rounds to whole ticks (>= 1, <= period, half to even) and then nudges
+    individual activities, the longest period first, until each resource is
+    within ``tol`` of the target.  A resource's load is kept exactly, as an
+    integer number of ticks over the lcm of its periods.
     """
     if not 0 < target <= 1:
         raise ScaleError(f"target utilization {target} not in (0, 1]")
     target_f = Fraction(target).limit_denominator(10**6)
     tol_f = Fraction(tol).limit_denominator(10**6)
     acts = list(instance.activities)
+    by_resource: dict[int, list[Activity]] = {}
+    for a in acts:
+        by_resource.setdefault(a.resource, []).append(a)
     for res in range(instance.platform.resources):
-        members = [a.id for a in acts if a.resource == res]
+        members = by_resource.get(res)
         if not members:
             continue
-        current = sum(acts[i].utilization for i in members)
-        factor = target_f / current
-        new_e = {i: max(1, min(acts[i].period,
-                               round(acts[i].exec_time * factor)))
-                 for i in members}
-
-        def load():
-            return sum(Fraction(new_e[i], acts[i].period) for i in members)
-
+        span = math.lcm(*(a.period for a in members))
+        weight = [span // a.period for a in members]
+        load = sum(a.exec_time * w for a, w in zip(members, weight))
+        # e * target / (load / span), rounded half to even
+        num = target_f.numerator * span
+        den = target_f.denominator * load
+        new_e = [max(1, min(a.period, _round_half_even(a.exec_time * num, den)))
+                 for a in members]
+        # (load - target) * span * target's denominator, and its allowance
+        excess = (sum(e * w for e, w in zip(new_e, weight))
+                  * target_f.denominator - target_f.numerator * span)
+        allowed = tol_f.numerator * span * target_f.denominator
+        order = sorted(range(len(members)),
+                       key=lambda k: (-members[k].period, members[k].id))
         guard = 0
-        while True:
-            gap = load() - target_f
-            if abs(gap) <= tol_f:
-                break
+        while abs(excess) * tol_f.denominator > allowed:
             guard += 1
             if guard > 100_000:
                 raise ScaleError(f"resource {res}: cannot reach {target}")
-            if gap < 0:
-                cands = [i for i in members if new_e[i] < acts[i].period]
-                if not cands:
-                    raise ScaleError(f"resource {res}: cannot reach {target}")
-                i = max(cands, key=lambda i: (acts[i].period, -i))
-                new_e[i] += 1
+            if excess < 0:
+                k = next((k for k in order if new_e[k] < members[k].period),
+                         None)
+                step = 1
             else:
-                cands = [i for i in members if new_e[i] > 1]
-                if not cands:
-                    raise ScaleError(f"resource {res}: cannot reach {target}")
-                i = max(cands, key=lambda i: (acts[i].period, -i))
-                new_e[i] -= 1
-        for i in members:
-            acts[i] = replace(acts[i], exec_time=new_e[i])
+                k = next((k for k in order if new_e[k] > 1), None)
+                step = -1
+            if k is None:
+                raise ScaleError(f"resource {res}: cannot reach {target}")
+            new_e[k] += step
+            excess += step * weight[k] * target_f.denominator
+        for a, e in zip(members, new_e):
+            if e != a.exec_time:
+                acts[a.id] = replace(a, exec_time=e)
     return instance.with_activities(acts)
 
 

@@ -16,19 +16,41 @@ keeps branching with the lower-bound sum as the pruning bound and is exact
 when allowed to exhaust.
 
 Committed arcs can close positive-weight cycles whose bound updates would
-otherwise crawl across the whole domain one tick at a time; a reason-chain
-walk detects such cycles and fails the branch outright.
+otherwise crawl across the whole domain one tick at a time.  A decision
+adds one arc ``u -> v`` to a propagated fixpoint, so a positive cycle it
+closes runs through that arc and shows as soon as propagation raises ``u``
+(Cotton and Maler, "Fast and flexible difference constraint propagation for
+DPLL(T)", SAT 2006).  Every bound change records the arc that caused it, and
+when ``u`` rises a walk back along these reasons decides at once.  Over
+contiguous domains every raise follows an arc exactly, so the walk always
+finds the cycle; snapping into a gapped domain can raise ``u`` without one,
+and then the walk finds none.  A count of raises per variable and call also
+trips the walk wherever bounds go round a cycle: the backstop for the root
+propagation, which has no new arc, and for gapped domains.
 
-Branching is deterministic: the first open disjunction violated by the
+Branching is deterministic: the first disjunction violated by the
 lower-bound vector is split (callers order disjunctions most-constrained
 -first at build time), and the side displacing the vector least is tried
-first.
+first.  The violated set is kept between nodes: disjunctions are watched
+from both their variables, and only those on a variable whose lower bound
+moved since the last node are looked at again.  Disjunctions over the same
+pair of variables with the same ``a + b`` share one sorted list, so the
+violated ones are a slice of it, found by bisection and left alone while
+the difference of the two bounds stays in the range where that slice holds.
+
+With one new arc the least fixpoint of the bounds is unique, and whether
+propagation fails does not depend on the order of its steps.  So none of
+this changes a decision, a vector or a node count; it only takes fewer steps
+to reach them.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .intervals import IntervalSet
 
@@ -68,15 +90,17 @@ class Engine:
         self.out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.disjunctions: list[tuple[int, int, int, int]] = []
+        # beyond any difference of two bounds: the open end of a d range
+        self._far = 1 + max(self.ub, default=0) - min(self.lb, default=0)
         self.failed = False
-        # positive-cycle detection state, versioned per propagation call
-        self._reason: list = [None] * self.n
+        # positive-cycle detection: the (source, weight, call) of each
+        # bound's last change, and the number of its changes in that call
+        self._reason = [(-1, 0, 0)] * self.n
         self._hits = [0] * self.n
-        self._stamp = [0] * self.n
-        self._reason_ub: list = [None] * self.n
+        self._reason_ub = [(-1, 0, 0)] * self.n
         self._hits_ub = [0] * self.n
-        self._stamp_ub = [0] * self.n
         self._call = 0
+        self._queued = [False] * (2 * self.n)
 
     def add_arc(self, u: int, v: int, c: int):
         """Require s_u + c <= s_v."""
@@ -93,42 +117,122 @@ class Engine:
         self.disjunctions.append((u, v, a, b))
         return idx
 
-    def _first_violated(self):
-        """First uncommitted disjunction the lower-bound vector violates."""
-        lb = self.lb
-        committed = self._committed
-        for idx, (u, v, a, b) in enumerate(self.disjunctions):
-            if committed[idx]:
-                continue
-            if lb[u] + a <= lb[v] or lb[v] + b <= lb[u]:
-                continue
-            return idx
-        return None
+    def _group(self):
+        """Sort the disjunctions into groups watched from their variables.
 
-    def _positive_cycle(self, start, reason, stamp) -> bool:
+        Disjunctions over the same ``u <= v`` with the same ``w = a + b`` form
+        a group: with ``d = lb[u] - lb[v]``, disjunction k is violated iff
+        ``lo_k < d < lo_k + w``, where ``lo_k = -a_k``.  A group is a run of
+        ``_los`` (sorted) and ``_idxs`` from ``_start[g]`` to
+        ``_start[g + 1]``, so its violated disjunctions are a slice.  Those
+        with ``w <= 0`` are never violated and left out.
+        """
+        rows = sorted((u, v, a + b, -a, idx) if u <= v else
+                      (v, u, a + b, -b, idx)
+                      for idx, (u, v, a, b) in enumerate(self.disjunctions)
+                      if a + b > 0)
+        self._los = [row[3] for row in rows]
+        self._idxs = [row[4] for row in rows]
+        self._start, self._width = [], []
+        # per variable: (group, other variable) where it is u, and where v
+        self._u_groups = [[] for _ in range(self.n)]
+        self._v_groups = [[] for _ in range(self.n)]
+        key = None
+        for k, (u, v, w, _lo, _idx) in enumerate(rows):
+            if (u, v, w) == key:
+                continue
+            key = (u, v, w)
+            g = len(self._start)
+            self._start.append(k)
+            self._width.append(w)
+            self._u_groups[u].append((g, v))
+            if v != u:
+                self._v_groups[v].append((g, u))
+        self._start.append(len(rows))
+
+    def _first_violated(self):
+        """First disjunction the lower-bound vector violates, or None.
+
+        ``_violated`` holds exactly the disjunctions violated at ``_seen``,
+        the lower bounds of the last call.  Only the groups on a variable
+        whose bound moved since are looked at again, and of those only the
+        ones whose difference of bounds left ``[_low[g], _high[g]]``, the
+        range over which their violated slice stays the same, are searched
+        again.  A committed disjunction holds at every propagated vector, so
+        it is never in the set, and the least index in the set is the first
+        uncommitted violated disjunction.
+        """
+        lb, seen = self.lb, self._seen
+        low, high = self._low, self._high
+        u_groups, v_groups = self._u_groups, self._v_groups
+        for x in compress(range(self.n), map(ne, lb, seen)):
+            lx = seen[x] = lb[x]
+            for g, y in u_groups[x]:
+                d = lx - lb[y]
+                if not low[g] <= d <= high[g]:
+                    self._recheck(g, d)
+            for g, y in v_groups[x]:
+                d = lb[y] - lx
+                if not low[g] <= d <= high[g]:
+                    self._recheck(g, d)
+        violated = self._violated
+        return min(violated) if violated else None
+
+    def _recheck(self, g, d):
+        """Put group ``g``'s violated slice at ``d`` into ``_violated`` and
+        keep the range of d over which that slice stays the same."""
+        los, w = self._los, self._width[g]
+        first, last = self._start[g], self._start[g + 1]
+        hi_k = bisect_left(los, d, first, last)          # lo_k < d
+        lo_k = bisect_right(los, d - w, first, last)     # lo_k + w <= d
+        old_lo, old_hi = self._span[g]
+        if old_lo != lo_k or old_hi != hi_k:
+            violated, idxs = self._violated, self._idxs
+            for k in range(old_lo, old_hi):
+                violated.discard(idxs[k])
+            for k in range(lo_k, hi_k):
+                violated.add(idxs[k])
+            self._span[g] = lo_k, hi_k
+        # d can move this far before either count changes
+        low = los[hi_k - 1] + 1 if hi_k > first else -self._far
+        if lo_k > first and los[lo_k - 1] + w > low:
+            low = los[lo_k - 1] + w
+        high = los[hi_k] if hi_k < last else self._far
+        if lo_k < last and los[lo_k] + w - 1 < high:
+            high = los[lo_k] + w - 1
+        self._low[g] = low
+        self._high[g] = high
+
+    def _positive_cycle(self, start, reason) -> bool:
         """Walk bound-update reasons from ``start``; a positive-weight loop of
         committed arcs proves the branch infeasible."""
         call = self._call
         pos = {}
         path = []
         x = start
-        for _ in range(self.n + 1):
-            if stamp[x] != call or reason[x] is None:
+        while True:  # n steps visit n variables, so a loop closes by then
+            u, c, stamp = reason[x]
+            if stamp != call:
                 return False
-            u, c = reason[x]
             if x in pos:
-                return sum(w for _v, w in path[pos[x]:]) > 0
+                return sum(path[pos[x]:]) > 0
             pos[x] = len(path)
-            path.append((x, c))
+            path.append(c)
             x = u
-        seen = {}
-        for i, (v, _c) in enumerate(path):
-            if v in seen:
-                return sum(w for _v, w in path[seen[v]:i]) > 0
-            seen[v] = i
-        return False
 
-    def _propagate(self, seeds, trail) -> bool:
+    def _propagate(self, seeds, trail, tail=-1, head=-1) -> bool:
+        """Bring the bounds to their fixpoint; False when a domain empties or
+        a positive cycle closes.
+
+        The queue holds ``v`` when ``lb[v]`` rose (its out-arcs push) and
+        ``~v`` when ``ub[v]`` fell (its in-arcs pull).  ``tail -> head`` is
+        the arc just decided, at a fixpoint of everything else: when it
+        raises ``tail``'s lower bound (or lowers ``head``'s upper bound), the
+        walk back along the reasons looks for a positive cycle through the
+        new arc at once, instead of letting the bounds go round it.  Each pop
+        handles one bound of one variable, and ``stats.propagations`` counts
+        the pops.
+        """
         lb, ub = self.lb, self.ub
         gapped, domains = self.gapped, self.domains
         out_arcs, in_arcs = self.out_arcs, self.in_arcs
@@ -136,113 +240,104 @@ class Engine:
         deadline = self._deadline
         self._call += 1
         call = self._call
-        reason, hits, stamp = self._reason, self._hits, self._stamp
-        reason_ub, hits_ub, stamp_ub = (self._reason_ub, self._hits_ub,
-                                        self._stamp_ub)
+        reason, hits = self._reason, self._hits
+        reason_ub, hits_ub = self._reason_ub, self._hits_ub
         trip = self.n + 8
         queue = list(seeds)
-        queued = set(queue)
-        lbsum = 0
+        queued = self._queued  # indexed by v and ~v alike
+        for u in queue:
+            queued[u] = True
+        props = stats.propagations
         trail_append = trail.append
         try:
             while queue:
                 u = queue.pop()
-                queued.discard(u)
-                stats.propagations += 1
-                if deadline is not None and stats.propagations % 4096 == 0:
+                queued[u] = False
+                props += 1
+                if props & 4095 == 0 and deadline is not None:
                     if time.monotonic() > deadline:
                         raise Deadline
-                lbu = lb[u]
-                for v, c in out_arcs[u]:
-                    cand = lbu + c
-                    if cand > lb[v]:
-                        if cand > ub[v]:
-                            return False
-                        if gapped[v]:
-                            nv = domains[v].snap_ge(cand)
-                            if nv is None or nv > ub[v]:
+                if u >= 0:
+                    lbu = lb[u]
+                    for v, c in out_arcs[u]:
+                        cand = lbu + c
+                        old = lb[v]
+                        if cand > old:
+                            if cand > ub[v]:
                                 return False
-                        else:
-                            nv = cand
-                        trail_append((v, lb[v], ub[v]))
-                        lbsum += nv - lb[v]
-                        lb[v] = nv
-                        if stamp[v] != call:
-                            stamp[v] = call
-                            hits[v] = 0
-                        reason[v] = (u, c)
-                        hits[v] += 1
-                        if hits[v] > trip:
-                            hits[v] = -trip
-                            if self._positive_cycle(v, reason, stamp):
+                            if gapped[v]:
+                                cand = domains[v].snap_ge(cand)
+                                if cand is None or cand > ub[v]:
+                                    return False
+                            trail_append((v, old))
+                            lb[v] = cand
+                            h = hits[v] + 1 if reason[v][2] == call else 1
+                            reason[v] = (u, c, call)
+                            if v == tail and self._positive_cycle(v, reason):
                                 return False
-                        if v not in queued:
-                            queue.append(v)
-                            queued.add(v)
-                ubu = ub[u]
-                for w, c in in_arcs[u]:
-                    cand = ubu - c
-                    if cand < ub[w]:
-                        if cand < lb[w]:
-                            return False
-                        if gapped[w]:
-                            nw = domains[w].snap_le(cand)
-                            if nw is None or nw < lb[w]:
+                            if h > trip:
+                                h = -trip
+                                if self._positive_cycle(v, reason):
+                                    return False
+                            hits[v] = h
+                            if not queued[v]:
+                                queued[v] = True
+                                queue.append(v)
+                else:
+                    u = ~u
+                    ubu = ub[u]
+                    for w, c in in_arcs[u]:
+                        cand = ubu - c
+                        old = ub[w]
+                        if cand < old:
+                            if cand < lb[w]:
                                 return False
-                        else:
-                            nw = cand
-                        trail_append((w, lb[w], ub[w]))
-                        ub[w] = nw
-                        if stamp_ub[w] != call:
-                            stamp_ub[w] = call
-                            hits_ub[w] = 0
-                        reason_ub[w] = (u, c)
-                        hits_ub[w] += 1
-                        if hits_ub[w] > trip:
-                            hits_ub[w] = -trip
-                            if self._positive_cycle(w, reason_ub, stamp_ub):
+                            if gapped[w]:
+                                cand = domains[w].snap_le(cand)
+                                if cand is None or cand < lb[w]:
+                                    return False
+                            trail_append((~w, old))
+                            ub[w] = cand
+                            h = (hits_ub[w] + 1 if reason_ub[w][2] == call
+                                 else 1)
+                            reason_ub[w] = (u, c, call)
+                            if w == head and self._positive_cycle(
+                                    w, reason_ub):
                                 return False
-                        if w not in queued:
-                            queue.append(w)
-                            queued.add(w)
+                            if h > trip:
+                                h = -trip
+                                if self._positive_cycle(w, reason_ub):
+                                    return False
+                            hits_ub[w] = h
+                            if not queued[~w]:
+                                queued[~w] = True
+                                queue.append(~w)
             return True
         finally:
-            self._lbsum += lbsum
+            for u in queue:
+                queued[u] = False
+            stats.propagations = props
 
     def _decide(self, idx, side, trail) -> bool:
-        self._committed[idx] = side
-        trail.append((-1, idx, 0))
         u, v, a, b = self.disjunctions[idx]
         su, sv, c = (u, v, a) if side == 1 else (v, u, b)
         self.out_arcs[su].append((sv, c))
         self.in_arcs[sv].append((su, c))
-        trail.append((-2, su, sv))
-        cand = self.lb[su] + c
-        if cand > self.lb[sv]:
-            nv = self.domains[sv].snap_ge(cand) if self.gapped[sv] else cand
-            if nv is None or nv > self.ub[sv]:
-                return False
-            trail.append((sv, self.lb[sv], self.ub[sv]))
-            self._lbsum += nv - self.lb[sv]
-            self.lb[sv] = nv
-        return self._propagate((su, sv), trail)
+        trail.append((None, su))
+        return self._propagate((~sv, su), trail, su, sv)
 
     def _undo(self, trail, mark):
         lb, ub = self.lb, self.ub
-        committed = self._committed
         out_arcs, in_arcs = self.out_arcs, self.in_arcs
-        lbsum = 0
-        while len(trail) > mark:
-            v, x, y = trail.pop()
-            if v == -1:
-                committed[x] = 0
-            elif v == -2:
-                out_arcs[x].pop()
-                in_arcs[y].pop()
+        for v, old in reversed(trail[mark:]):
+            if v is None:  # (None, tail): the arc decided out of ``tail``
+                w, _c = out_arcs[old].pop()
+                in_arcs[w].pop()
+            elif v >= 0:
+                lb[v] = old
             else:
-                lbsum += x - lb[v]
-                lb[v], ub[v] = x, y
-        self._lbsum += lbsum
+                ub[~v] = old
+        del trail[mark:]
 
     def _side_order(self, idx):
         """Earliest-first: try the side displacing the lower bounds least."""
@@ -259,8 +354,13 @@ class Engine:
         t0 = time.monotonic()
         deadline = None if time_limit is None else t0 + time_limit
         self._deadline = deadline
-        self._committed = [0] * len(self.disjunctions)
-        self._lbsum = sum(self.lb)
+        self._seen: list = [None] * self.n
+        self._violated: set[int] = set()
+        self._group()
+        groups = len(self._width)
+        self._span = [(0, 0)] * groups
+        self._low = [1] * groups   # empty ranges: every group is checked
+        self._high = [0] * groups
         trail: list = []
         best_sum = None
         best = None
@@ -271,7 +371,8 @@ class Engine:
             return UNSAT, None, stats
 
         try:
-            ok = self._propagate(range(self.n), trail)
+            ok = self._propagate([~v for v in range(self.n)] + [*range(self.n)],
+                                 trail)
             frames: list[list] = []  # [trail mark, disjunction, pending side]
             descending = ok
             ticks = 0
@@ -287,7 +388,7 @@ class Engine:
                 if descending:
                     stats.nodes += 1
                     if (minimize and best_sum is not None
-                            and self._lbsum >= best_sum):
+                            and sum(self.lb) >= best_sum):
                         descending = False
                         continue
                     idx = self._first_violated()
@@ -296,8 +397,9 @@ class Engine:
                         if not minimize:
                             best = list(self.lb)
                             break
-                        if best_sum is None or self._lbsum < best_sum:
-                            best_sum, best = self._lbsum, list(self.lb)
+                        total = sum(self.lb)
+                        if best_sum is None or total < best_sum:
+                            best_sum, best = total, list(self.lb)
                         descending = False
                         continue
                     first, second = self._side_order(idx)

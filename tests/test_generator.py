@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import scale_oracle
 from ttcosched.generator import (ACTIVITY_RANGES, GenParams, ParamError,
                                  ScaleError, SET_TABLE, ems_case_study,
                                  generate, scale_to_utilization)
@@ -83,6 +86,57 @@ def test_scale_identity_and_floor():
     tiny = Instance((Activity(0, "task", 10, 1, 0, 0),), plat, PrecedenceDAG(1))
     with pytest.raises(ScaleError):
         scale_to_utilization(tiny, 0.05)
+
+
+def _scaled_or_error(scale, instance, target):
+    try:
+        return scale(instance, target)
+    except ScaleError as exc:
+        return str(exc)
+
+
+def test_scale_matches_the_fraction_oracle():
+    for set_id in (1, 2, 3, 4):
+        for seed in range(4):
+            base = generate(GenParams.from_set(set_id, seed))
+            for pct in range(1, 101):
+                got = _scaled_or_error(scale_to_utilization, base, pct / 100)
+                want = _scaled_or_error(scale_oracle.scale_to_utilization,
+                                        base, pct / 100)
+                assert got == want, (set_id, seed, pct)
+
+
+def test_scale_nudges_match_the_fraction_oracle():
+    # on the protocol's sets rounding alone always lands within the
+    # tolerance; small resources with coarse ticks need the nudges
+    rng = random.Random(3)
+    plat = Platform(cores=2)
+    for _ in range(400):
+        periods = [rng.choice((50, 100, 200, 250, 500, 1000))
+                   for _ in range(rng.randint(1, 6))]
+        acts = tuple(Activity(i, "task", p, rng.randint(1, p // 3), 0,
+                              rng.randrange(2))
+                     for i, p in enumerate(periods))
+        instance = Instance(acts, plat, PrecedenceDAG(len(acts)))
+        for target in (rng.randint(1, 100) / 100, rng.random()):
+            got = _scaled_or_error(scale_to_utilization, instance, target)
+            want = _scaled_or_error(scale_oracle.scale_to_utilization,
+                                    instance, target)
+            assert got == want, (periods, target)
+
+
+def test_scale_errors_match_the_fraction_oracle():
+    plat = Platform(cores=1)
+    floor = Instance((Activity(0, "task", 10, 1, 0, 0),
+                      Activity(1, "task", 20, 1, 0, 0)), plat, PrecedenceDAG(2))
+    # one tick of the only period moves the load by 1/3: 0.5 is never within
+    # 0.01, so the nudges swing until the guard gives up
+    swing = Instance((Activity(0, "task", 3, 1, 0, 0),), plat, PrecedenceDAG(1))
+    for instance, target in ((floor, 0.05), (floor, 0.07), (swing, 0.5)):
+        got = _scaled_or_error(scale_to_utilization, instance, target)
+        want = _scaled_or_error(scale_oracle.scale_to_utilization,
+                                instance, target)
+        assert isinstance(want, str) and got == want
 
 
 def test_ems_case_study_statistics():

@@ -139,3 +139,52 @@ def test_node_limit_returns_incumbent_or_timeout():
             eng.add_disjunction(u, v, 1, 1)
     status, values, _ = eng.minimize_sum(node_limit=0)
     assert status in (INCUMBENT, "timeout")
+
+
+def test_gapped_snap_raising_the_decided_tail_is_no_cycle():
+    # deciding s_0 + 1 <= s_1 snaps s_1 to 5, which lifts s_0 to 10 through
+    # s_1 - 1 <= s_0: the tail rises, yet the reason loop weighs 0, so the
+    # decision must stand and give the least solution
+    eng = Engine([IntervalSet([(0, 0), (10, 10)]),
+                  IntervalSet([(0, 0), (5, 20)])])
+    eng.add_arc(1, 0, -1)
+    eng.add_disjunction(0, 1, 1, 100)
+    status, values, _ = eng.solve_feasible()
+    assert status == SAT and values == [10, 11]
+
+
+def test_cycle_closing_decision_fails_without_going_round():
+    n = 40
+
+    def ring(closed):
+        eng = Engine([IntervalSet.span(0, 10**6)] * n)
+        for i in range(n - 1):
+            eng.add_arc(i, i + 1, 0)
+        if closed:
+            # s_39 + 1 <= s_0 closes a positive cycle; the other side
+            # leaves every domain
+            eng.add_disjunction(n - 1, 0, 1, 10**7)
+        return eng.solve_feasible()
+
+    status, _, alone = ring(False)
+    assert status == SAT
+    status, _, stats = ring(True)
+    assert status == UNSAT
+    # failing both sides costs a few passes round the ring, not a crawl of
+    # the bounds round the cycle one tick per lap
+    assert stats.propagations - alone.propagations < 4 * n
+
+
+def test_root_positive_cycle_trips_the_walk():
+    # no decision closes this cycle: it is there from the start, so only the
+    # count of raises per variable stops the bounds going round it
+    n = 40
+    eng = Engine([IntervalSet.span(0, 10**4)] * n)
+    for i in range(n - 1):
+        eng.add_arc(i, i + 1, 0)
+    eng.add_arc(n - 1, 0, 1)
+    status, _, stats = eng.solve_feasible()
+    assert status == UNSAT
+    # n + 9 laps at most before a variable trips, against 10**4 laps of a
+    # crawl to the end of the domain
+    assert stats.propagations < 4 * n * (n + 9)

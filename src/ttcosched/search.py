@@ -15,6 +15,11 @@ descent).  Feasibility search returns the first such vector; minimisation
 keeps branching with the lower-bound sum as the pruning bound and is exact
 when allowed to exhaust.
 
+Only lower bounds are propagated.  When their least fixpoint stays inside
+the domains it satisfies every committed arc, so the committed arcs are
+feasible; when it leaves a domain, no assignment is.  Upper bounds could
+only find the same failures sooner, so they stay the domain maxima.
+
 Committed arcs can close positive-weight cycles whose bound updates would
 otherwise crawl across the whole domain one tick at a time.  A decision
 adds one arc ``u -> v`` to a propagated fixpoint, so a positive cycle it
@@ -24,19 +29,26 @@ DPLL(T)", SAT 2006).  Every bound change records the arc that caused it, and
 when ``u`` rises a walk back along these reasons decides at once.  Over
 contiguous domains every raise follows an arc exactly, so the walk always
 finds the cycle; snapping into a gapped domain can raise ``u`` without one,
-and then the walk finds none.  A count of raises per variable and call also
-trips the walk wherever bounds go round a cycle: the backstop for the root
+and then the walk finds none.  Every ``8 n`` raises within one propagation
+the walk also runs from the variable just raised: the backstop for the root
 propagation, which has no new arc, and for gapped domains.
+
+A side that closed a positive cycle leaves a nogood: the committed sides of
+other disjunctions among the cycle's arcs (the rest are fixed arcs).  While
+those all stand the side closes the same cycle again, so it fails at once,
+without propagating.
 
 Branching is deterministic: the first disjunction violated by the
 lower-bound vector is split (callers order disjunctions most-constrained
 -first at build time), and the side displacing the vector least is tried
 first.  The violated set is kept between nodes: disjunctions are watched
 from both their variables, and only those on a variable whose lower bound
-moved since the last node are looked at again.  Disjunctions over the same
+rose since the last node are looked at again.  Disjunctions over the same
 pair of variables with the same ``a + b`` share one sorted list, so the
 violated ones are a slice of it, found by bisection and left alone while
 the difference of the two bounds stays in the range where that slice holds.
+Changes to the set go on the trail, so backtracking restores it with the
+bounds.
 
 With one new arc the least fixpoint of the bounds is unique, and whether
 propagation fails does not depend on the order of its steps.  So none of
@@ -49,8 +61,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
 
 from .intervals import IntervalSet
 
@@ -88,19 +98,17 @@ class Engine:
             self.ub[i] = d.max()
             self.gapped[i] = len(d.intervals) > 1
         self.out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        self.in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        # the disjunctions whose decided sides end out_arcs[u], in order
+        self._decided: list[list[int]] = [[] for _ in range(self.n)]
         self.disjunctions: list[tuple[int, int, int, int]] = []
         # beyond any difference of two bounds: the open end of a d range
         self._far = 1 + max(self.ub, default=0) - min(self.lb, default=0)
         self.failed = False
-        # positive-cycle detection: the (source, weight, call) of each
-        # bound's last change, and the number of its changes in that call
+        # positive-cycle detection: the (source, weight, call) of each lower
+        # bound's last change
         self._reason = [(-1, 0, 0)] * self.n
-        self._hits = [0] * self.n
-        self._reason_ub = [(-1, 0, 0)] * self.n
-        self._hits_ub = [0] * self.n
         self._call = 0
-        self._queued = [False] * (2 * self.n)
+        self._queued = [False] * self.n
 
     def add_arc(self, u: int, v: int, c: int):
         """Require s_u + c <= s_v."""
@@ -109,7 +117,6 @@ class Engine:
                 self.failed = True
             return
         self.out_arcs[u].append((v, c))
-        self.in_arcs[v].append((u, c))
 
     def add_disjunction(self, u: int, v: int, a: int, b: int) -> int:
         """Require s_u + a <= s_v  or  s_v + b <= s_u."""
@@ -150,49 +157,55 @@ class Engine:
                 self._v_groups[v].append((g, u))
         self._start.append(len(rows))
 
-    def _first_violated(self):
+    def _first_violated(self, trail):
         """First disjunction the lower-bound vector violates, or None.
 
-        ``_violated`` holds exactly the disjunctions violated at ``_seen``,
-        the lower bounds of the last call.  Only the groups on a variable
-        whose bound moved since are looked at again, and of those only the
-        ones whose difference of bounds left ``[_low[g], _high[g]]``, the
-        range over which their violated slice stays the same, are searched
-        again.  A committed disjunction holds at every propagated vector, so
-        it is never in the set, and the least index in the set is the first
-        uncommitted violated disjunction.
+        ``_violated`` holds exactly the disjunctions violated at the lower
+        bounds the trail held at ``_synced``.  Only the groups on a variable
+        whose bound rose on the trail since are looked at again, and of
+        those only the ones whose difference of bounds left
+        ``[_low[g], _high[g]]``, the range over which their violated slice
+        stays the same, are searched again.  Each such change goes on the
+        trail, so backtracking restores the set with the bounds and a
+        lowered bound is never looked at.  A committed disjunction holds at
+        every propagated vector, so it is never in the set, and the least
+        index in the set is the first uncommitted violated disjunction.
         """
-        lb, seen = self.lb, self._seen
+        lb = self.lb
         low, high = self._low, self._high
         u_groups, v_groups = self._u_groups, self._v_groups
-        for x in compress(range(self.n), map(ne, lb, seen)):
-            lx = seen[x] = lb[x]
+        synced = self._synced
+        if synced is None:  # the root: every group is looked at, for good
+            moved, log = range(self.n), None
+        else:
+            moved = {v for v, _old in trail[synced:]
+                     if v is not None and v >= 0}
+            log = trail
+        for x in moved:
+            lx = lb[x]
             for g, y in u_groups[x]:
                 d = lx - lb[y]
                 if not low[g] <= d <= high[g]:
-                    self._recheck(g, d)
+                    self._recheck(g, d, log)
             for g, y in v_groups[x]:
                 d = lb[y] - lx
                 if not low[g] <= d <= high[g]:
-                    self._recheck(g, d)
+                    self._recheck(g, d, log)
+        self._synced = len(trail)
         violated = self._violated
         return min(violated) if violated else None
 
-    def _recheck(self, g, d):
+    def _recheck(self, g, d, trail):
         """Put group ``g``'s violated slice at ``d`` into ``_violated`` and
-        keep the range of d over which that slice stays the same."""
+        keep the range of d over which that slice stays the same; the trail,
+        if any, keeps the group's former state under the key ``~g``."""
         los, w = self._los, self._width[g]
         first, last = self._start[g], self._start[g + 1]
         hi_k = bisect_left(los, d, first, last)          # lo_k < d
         lo_k = bisect_right(los, d - w, first, last)     # lo_k + w <= d
-        old_lo, old_hi = self._span[g]
-        if old_lo != lo_k or old_hi != hi_k:
-            violated, idxs = self._violated, self._idxs
-            for k in range(old_lo, old_hi):
-                violated.discard(idxs[k])
-            for k in range(lo_k, hi_k):
-                violated.add(idxs[k])
-            self._span[g] = lo_k, hi_k
+        if trail is not None:
+            trail.append((~g, (*self._span[g], self._low[g], self._high[g])))
+        self._set_span(g, lo_k, hi_k)
         # d can move this far before either count changes
         low = los[hi_k - 1] + 1 if hi_k > first else -self._far
         if lo_k > first and los[lo_k - 1] + w > low:
@@ -203,10 +216,19 @@ class Engine:
         self._low[g] = low
         self._high[g] = high
 
-    def _positive_cycle(self, start, reason) -> bool:
+    def _set_span(self, g, lo_k, hi_k):
+        """Make ``_los[lo_k:hi_k]`` group ``g``'s violated slice."""
+        old_lo, old_hi = self._span[g]
+        if old_lo != lo_k or old_hi != hi_k:
+            idxs = self._idxs
+            self._violated.difference_update(idxs[old_lo:old_hi])
+            self._violated.update(idxs[lo_k:hi_k])
+            self._span[g] = lo_k, hi_k
+
+    def _positive_cycle(self, start) -> bool:
         """Walk bound-update reasons from ``start``; a positive-weight loop of
         committed arcs proves the branch infeasible."""
-        call = self._call
+        reason, call = self._reason, self._call
         pos = {}
         path = []
         x = start
@@ -220,124 +242,152 @@ class Engine:
             path.append(c)
             x = u
 
-    def _propagate(self, seeds, trail, tail=-1, head=-1) -> bool:
-        """Bring the bounds to their fixpoint; False when a domain empties or
-        a positive cycle closes.
+    def _propagate(self, seeds, trail, tail=-1) -> bool:
+        """Raise the lower bounds to their least fixpoint; False when one
+        leaves its domain or a positive cycle closes.
 
-        The queue holds ``v`` when ``lb[v]`` rose (its out-arcs push) and
-        ``~v`` when ``ub[v]`` fell (its in-arcs pull).  ``tail -> head`` is
-        the arc just decided, at a fixpoint of everything else: when it
-        raises ``tail``'s lower bound (or lowers ``head``'s upper bound), the
-        walk back along the reasons looks for a positive cycle through the
-        new arc at once, instead of letting the bounds go round it.  Each pop
-        handles one bound of one variable, and ``stats.propagations`` counts
-        the pops.
+        ``tail`` is the tail of the arc just decided, at a fixpoint of
+        everything else: when propagation raises it, the walk back along the
+        reasons looks for a positive cycle through the new arc at once,
+        instead of letting the bounds go round it.  A failure found either
+        way is left in ``_proof`` for ``_learn``.  ``stats.propagations``
+        counts the bound changes.
         """
         lb, ub = self.lb, self.ub
         gapped, domains = self.gapped, self.domains
-        out_arcs, in_arcs = self.out_arcs, self.in_arcs
+        out_arcs = self.out_arcs
         stats = self._stats
         deadline = self._deadline
         self._call += 1
         call = self._call
-        reason, hits = self._reason, self._hits
-        reason_ub, hits_ub = self._reason_ub, self._hits_ub
-        trip = self.n + 8
+        reason = self._reason
+        trip = 8 * self.n
+        changes = stats.propagations
+        walk_at = changes + trip
         queue = list(seeds)
-        queued = self._queued  # indexed by v and ~v alike
+        queued = self._queued
         for u in queue:
             queued[u] = True
-        props = stats.propagations
         trail_append = trail.append
         try:
             while queue:
                 u = queue.pop()
                 queued[u] = False
-                props += 1
-                if props & 4095 == 0 and deadline is not None:
-                    if time.monotonic() > deadline:
-                        raise Deadline
-                if u >= 0:
-                    lbu = lb[u]
-                    for v, c in out_arcs[u]:
-                        cand = lbu + c
-                        old = lb[v]
-                        if cand > old:
-                            if cand > ub[v]:
+                lbu = lb[u]
+                for v, c in out_arcs[u]:
+                    cand = lbu + c
+                    old = lb[v]
+                    if cand > old:
+                        if cand > ub[v]:
+                            self._proof = u, v, c
+                            return False
+                        if gapped[v]:
+                            cand = domains[v].snap_ge(cand)
+                            if cand is None or cand > ub[v]:
+                                self._proof = u, v, c
                                 return False
-                            if gapped[v]:
-                                cand = domains[v].snap_ge(cand)
-                                if cand is None or cand > ub[v]:
+                        trail_append((v, old))
+                        lb[v] = cand
+                        reason[v] = (u, c, call)
+                        changes += 1
+                        if v == tail and self._positive_cycle(v):
+                            self._proof = v, None, 0
+                            return False
+                        if changes & 1023 == 0:
+                            if (deadline is not None
+                                    and time.monotonic() > deadline):
+                                raise Deadline
+                            if changes >= walk_at:
+                                walk_at = changes + trip
+                                if self._positive_cycle(v):
                                     return False
-                            trail_append((v, old))
-                            lb[v] = cand
-                            h = hits[v] + 1 if reason[v][2] == call else 1
-                            reason[v] = (u, c, call)
-                            if v == tail and self._positive_cycle(v, reason):
-                                return False
-                            if h > trip:
-                                h = -trip
-                                if self._positive_cycle(v, reason):
-                                    return False
-                            hits[v] = h
-                            if not queued[v]:
-                                queued[v] = True
-                                queue.append(v)
-                else:
-                    u = ~u
-                    ubu = ub[u]
-                    for w, c in in_arcs[u]:
-                        cand = ubu - c
-                        old = ub[w]
-                        if cand < old:
-                            if cand < lb[w]:
-                                return False
-                            if gapped[w]:
-                                cand = domains[w].snap_le(cand)
-                                if cand is None or cand < lb[w]:
-                                    return False
-                            trail_append((~w, old))
-                            ub[w] = cand
-                            h = (hits_ub[w] + 1 if reason_ub[w][2] == call
-                                 else 1)
-                            reason_ub[w] = (u, c, call)
-                            if w == head and self._positive_cycle(
-                                    w, reason_ub):
-                                return False
-                            if h > trip:
-                                h = -trip
-                                if self._positive_cycle(w, reason_ub):
-                                    return False
-                            hits_ub[w] = h
-                            if not queued[~w]:
-                                queued[~w] = True
-                                queue.append(~w)
+                        if not queued[v]:
+                            queued[v] = True
+                            queue.append(v)
             return True
         finally:
             for u in queue:
                 queued[u] = False
-            stats.propagations = props
+            stats.propagations = changes
 
     def _decide(self, idx, side, trail) -> bool:
         u, v, a, b = self.disjunctions[idx]
         su, sv, c = (u, v, a) if side == 1 else (v, u, b)
+        sides = self._sides
+        nogood = self._nogoods.get(2 * idx + side)
+        if nogood is not None and self.lb[su] >= nogood[0] and all(
+                sides[j] == s for j, s in nogood[1]):
+            return False
         self.out_arcs[su].append((sv, c))
-        self.in_arcs[sv].append((su, c))
-        trail.append((None, su))
-        return self._propagate((~sv, su), trail, su, sv)
+        self._decided[su].append(idx)
+        sides[idx] = side
+        trail.append((None, idx))
+        self._proof = None
+        if self._propagate((su,), trail, su):
+            return True
+        if self._proof is not None:
+            self._learn(idx, side, su)
+        return False
+
+    def _learn(self, idx, side, tail):
+        """Keep the nogood of side ``side`` of disjunction ``idx``, whose arc
+        out of ``tail`` just failed.
+
+        ``_proof`` is ``(x, v, c)``: the arc ``x -> v`` of weight ``c``
+        raised ``v`` past its domain's maximum or, with ``v`` None, ``x`` is
+        ``tail`` and the reasons close a positive cycle through it.  The
+        reasons lead back from ``x`` to ``tail`` along arcs present, so the
+        side fails again whenever all these arcs stand and ``lb[tail]`` plus
+        their weight passes that maximum (or always, for a cycle).  The
+        nogood keeps that least ``lb[tail]`` and the arcs that are committed
+        sides of other disjunctions; the rest are fixed arcs.
+        """
+        out_arcs, decided, sides = self.out_arcs, self._decided, self._sides
+        reason, call = self._reason, self._call
+        x, v, weight = self._proof
+        path = [] if v is None else [(x, v, weight)]
+        for _ in range(self.n + 1):
+            if x == tail and path:
+                break
+            u, c, stamp = reason[x]
+            if stamp != call:
+                return
+            path.append((u, x, c))
+            weight += c
+            x = u
+        else:
+            return
+        arcs = []
+        for u, x, c in path:
+            for (y, w), j in zip(reversed(out_arcs[u]), reversed(decided[u])):
+                if y == x and w == c and j != idx:
+                    arcs.append((j, sides[j]))
+                    break
+        least = (-float("inf") if v is None
+                 else self.ub[v] - weight + 1)
+        self._nogoods[2 * idx + side] = least, arcs
 
     def _undo(self, trail, mark):
-        lb, ub = self.lb, self.ub
-        out_arcs, in_arcs = self.out_arcs, self.in_arcs
+        """Back to the trail's ``mark``, which is always where the violated
+        set was last brought up to date."""
+        lb, out_arcs, decided = self.lb, self.out_arcs, self._decided
+        disjunctions, sides = self.disjunctions, self._sides
         for v, old in reversed(trail[mark:]):
-            if v is None:  # (None, tail): the arc decided out of ``tail``
-                w, _c = out_arcs[old].pop()
-                in_arcs[w].pop()
+            if v is None:  # (None, idx): the side decided of disjunction idx
+                u, w, _a, _b = disjunctions[old]
+                tail = u if sides[old] == 1 else w
+                out_arcs[tail].pop()
+                decided[tail].pop()
+                sides[old] = 0
             elif v >= 0:
                 lb[v] = old
-            else:
-                ub[~v] = old
+            else:  # (~g, state): group g's violated slice and range
+                g = ~v
+                self._set_span(g, old[0], old[1])
+                self._low[g] = old[2]
+                self._high[g] = old[3]
         del trail[mark:]
+        self._synced = mark
 
     def _side_order(self, idx):
         """Earliest-first: try the side displacing the lower bounds least."""
@@ -354,7 +404,9 @@ class Engine:
         t0 = time.monotonic()
         deadline = None if time_limit is None else t0 + time_limit
         self._deadline = deadline
-        self._seen: list = [None] * self.n
+        self._synced = None
+        self._sides = [0] * len(self.disjunctions)
+        self._nogoods: dict[int, tuple] = {}
         self._violated: set[int] = set()
         self._group()
         groups = len(self._width)
@@ -371,8 +423,7 @@ class Engine:
             return UNSAT, None, stats
 
         try:
-            ok = self._propagate([~v for v in range(self.n)] + [*range(self.n)],
-                                 trail)
+            ok = self._propagate(range(self.n), trail)
             frames: list[list] = []  # [trail mark, disjunction, pending side]
             descending = ok
             ticks = 0
@@ -391,7 +442,7 @@ class Engine:
                             and sum(self.lb) >= best_sum):
                         descending = False
                         continue
-                    idx = self._first_violated()
+                    idx = self._first_violated(trail)
                     if idx is None:
                         stats.solutions += 1
                         if not minimize:

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from ttcosched.intervals import IntervalSet
 from ttcosched.search import INCUMBENT, OPTIMAL, SAT, UNSAT, Engine
 
@@ -177,7 +179,7 @@ def test_cycle_closing_decision_fails_without_going_round():
 
 def test_root_positive_cycle_trips_the_walk():
     # no decision closes this cycle: it is there from the start, so only the
-    # count of raises per variable stops the bounds going round it
+    # count of bound changes stops the bounds going round it
     n = 40
     eng = Engine([IntervalSet.span(0, 10**4)] * n)
     for i in range(n - 1):
@@ -185,6 +187,44 @@ def test_root_positive_cycle_trips_the_walk():
     eng.add_arc(n - 1, 0, 1)
     status, _, stats = eng.solve_feasible()
     assert status == UNSAT
-    # n + 9 laps at most before a variable trips, against 10**4 laps of a
-    # crawl to the end of the domain
+    # the walk runs once 8 n changes have passed (looked at every 1024
+    # changes), against 10**4 laps of a crawl to the end of the domain
     assert stats.propagations < 4 * n * (n + 9)
+
+
+def _repeated_side_engine(kind, k=40):
+    """A side that fails after ``k`` bound changes, decided again in a second
+    subtree under the same other sides: three unit jobs ``y`` in two slots
+    make the search go back over the first pair of them, past disjunction 1.
+
+    ``cycle``: its first side closes the zero-weight chain ``0 -> ... -> k-1``
+    into a positive cycle.  ``bound``: its first side pushes the chain of
+    weight-1 arcs past the last variable's domain."""
+    if kind == "cycle":
+        domains = [IntervalSet.span(0, 10**6)] * k
+    else:
+        domains = ([IntervalSet.span(i, 10**6) for i in range(k - 1)]
+                   + [IntervalSet.span(k - 1, k)])
+    z, y0, y1, y2 = k, k + 1, k + 2, k + 3
+    eng = Engine(domains + [IntervalSet.span(0, 10)]
+                 + [IntervalSet.span(0, 1)] * 3)
+    for i in range(k - 1):
+        eng.add_arc(i, i + 1, 0 if kind == "cycle" else 1)
+    eng.add_disjunction(y0, y1, 1, 1)
+    if kind == "cycle":
+        eng.add_disjunction(k - 1, 0, 1, 1)
+    else:
+        eng.add_disjunction(z, 0, 2, 3)
+    eng.add_disjunction(y0, y2, 1, 1)
+    eng.add_disjunction(y1, y2, 1, 1)
+    return eng
+
+
+@pytest.mark.parametrize("kind", ["cycle", "bound"])
+def test_a_failed_side_fails_again_without_propagating(kind):
+    k = 40
+    status, _, stats = _repeated_side_engine(kind, k).solve_feasible()
+    assert status == UNSAT and stats.nodes == 7
+    # the first failure costs about k bound changes; the nogood it leaves
+    # fails the side the second time before any bound moves
+    assert stats.propagations < 3 * k // 2

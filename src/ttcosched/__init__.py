@@ -9,7 +9,7 @@ from .validation import (Schedule, ValidationReport, is_zero_jitter,
 from .mapping import Mapping, derive_message_mapping, map_exact, map_greedy
 from .solver import (JC, ZJ, BuiltModel, ModelInfeasible, SolveResult,
                      build_model, solve, solve_instance)
-from .heuristic import DomainStore, HeuristicConfig, run_3ls, sub_model
+from .heuristic import DomainStore, run_3ls, sub_model
 from .generator import (GenParams, ParamError, ScaleError, ems_case_study,
                         generate, scale_to_utilization)
 from .export import export_lp, export_smtlib, parse_smt_model

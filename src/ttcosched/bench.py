@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .generator import GenParams, ScaleError, ems_case_study, generate, scale_to_utilization
-from .heuristic import HeuristicConfig, run_3ls
+from .heuristic import run_3ls
 from .model import Instance, derive_bounds
 from .solver import FEASIBLE, INFEASIBLE, JC, TIMED_OUT, ZJ, solve_instance
 from .validation import Schedule, schedule_memory_bytes, validate
@@ -31,6 +31,8 @@ HEURISTIC = "3ls"
 
 # mode strings: "zj", "jc:p2", "jc:p5", "jc:p10", "jc:frac<percent>"
 JITTER_SWEEP_MODES = ("zj", "jc:p10", "jc:p5", "jc:p2")
+# the share of zero-jitter jobs, swept down in 5% steps
+ZJ_FRACTION_MODES = tuple(f"jc:frac{p}" for p in range(100, -1, -5))
 
 
 def jitter_for(policy: str, period: int) -> int:
@@ -81,7 +83,6 @@ def apply_zj_fraction(instance: Instance, percent: int,
 class SweepLimits:
     time_limit: float = 60.0
     u_start: int = 10
-    u_step: int = 1
     u_max: int = 100
 
 
@@ -171,18 +172,17 @@ def max_util_sweep(base: Instance, method: str, mode: str,
             break
         result.max_util = u
         result.witnesses[u] = schedule
-        u += limits.u_step
+        u += 1
     return result
 
 
 @dataclass
 class ExperimentSpec:
     experiment: str                         # jitter-sweep | zj-fraction-sweep |
-    sets: tuple[int, ...] = (1,)            # period-study | scale-study | ems
+    sets: tuple[int, ...] = (1,)            # period-study | ems
     seeds: tuple[int, ...] = (0,)
     methods: tuple[str, ...] = (EXACT,)
     jitter_modes: tuple[str, ...] = JITTER_SWEEP_MODES
-    zj_step: int = 5
     limits: SweepLimits = field(default_factory=SweepLimits)
 
 
@@ -212,7 +212,7 @@ def _mode_ladder(base: Instance, method: str, modes, limits):
     return out
 
 
-def _sweep_rows(set_id, seed, sweeps):
+def sweep_rows(set_id, seed, sweeps):
     rows = []
     for res in sweeps:
         for pt in res.points:
@@ -228,55 +228,36 @@ def _sweep_rows(set_id, seed, sweeps):
 def run_experiment(spec: ExperimentSpec, outdir) -> dict[str, Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
-
-    if spec.experiment == "jitter-sweep":
-        for set_id in spec.sets:
-            for seed in spec.seeds:
-                base = generate(GenParams.from_set(set_id, seed))
-                for method in spec.methods:
-                    sweeps = _mode_ladder(base, method, spec.jitter_modes,
-                                          spec.limits)
-                    rows += _sweep_rows(set_id, seed, sweeps)
-    elif spec.experiment == "zj-fraction-sweep":
-        fracs = list(range(100, -1, -spec.zj_step))
-        modes = [f"jc:frac{p}" for p in fracs]
-        for set_id in spec.sets:
-            for seed in spec.seeds:
-                base = generate(GenParams.from_set(set_id, seed))
-                for method in spec.methods:
-                    sweeps = _mode_ladder(base, method, modes, spec.limits)
-                    rows += _sweep_rows(set_id, seed, sweeps)
-    elif spec.experiment == "period-study":
-        for set_id in spec.sets:
-            for seed in spec.seeds:
-                base = generate(GenParams.from_set(set_id, seed))
-                for variant in PERIOD_VARIANTS:
-                    inst = rewrite_periods(base, variant)
-                    inst = replace(inst, name=f"{inst.name}-{variant}")
-                    for method in spec.methods:
-                        sweeps = _mode_ladder(inst, method, ("zj", "jc:p5"),
-                                              spec.limits)
-                        for row in _sweep_rows(set_id, seed, sweeps):
-                            row["variant"] = variant
-                            rows.append(row)
-    elif spec.experiment == "scale-study":
-        for set_id in spec.sets:
-            for seed in spec.seeds:
-                base = generate(GenParams.from_set(set_id, seed))
-                for method in spec.methods:
-                    sweeps = _mode_ladder(base, method, ("zj", "jc:p5"),
-                                          spec.limits)
-                    rows += _sweep_rows(set_id, seed, sweeps)
-    elif spec.experiment == "ems":
+    if spec.experiment == "ems":
         return _run_ems(spec, outdir)
+    # (period variant or None, the modes swept tightest-first)
+    if spec.experiment == "jitter-sweep":
+        variants = [(None, spec.jitter_modes)]
+    elif spec.experiment == "zj-fraction-sweep":
+        variants = [(None, ZJ_FRACTION_MODES)]
+    elif spec.experiment == "period-study":
+        variants = [(v, ("zj", "jc:p5")) for v in PERIOD_VARIANTS]
     else:
         raise ValueError(f"unknown experiment {spec.experiment!r}")
 
+    rows: list[dict] = []
+    for set_id in spec.sets:
+        for seed in spec.seeds:
+            base = generate(GenParams.from_set(set_id, seed))
+            for variant, modes in variants:
+                inst = base if variant is None else replace(
+                    rewrite_periods(base, variant), name=f"{base.name}-{variant}")
+                for method in spec.methods:
+                    sweeps = _mode_ladder(inst, method, modes, spec.limits)
+                    for row in sweep_rows(set_id, seed, sweeps):
+                        if variant is not None:
+                            row["variant"] = variant
+                        rows.append(row)
+
     points_path = outdir / "points.csv"
-    _write_csv(points_path, rows)
+    write_csv(points_path, rows)
     summary_path = outdir / "summary.csv"
-    _write_csv(summary_path, _summarise(rows))
+    write_csv(summary_path, _summarise(rows))
     return {"points": points_path, "summary": summary_path}
 
 
@@ -298,16 +279,12 @@ def _run_ems(spec: ExperimentSpec, outdir: Path) -> dict[str, Path]:
     ]
     if schedule is not None:
         lines.append(f"memory_bytes_jc,{schedule_memory_bytes(inst_jc, schedule)}")
-        zj85 = apply_zj_fraction(inst, 85)
-        flags = tuple(a.jitter == 0 for a in zj85.activities)
-        lines.append(
-            f"memory_bytes_85zj,{8 * sum(1 if z else bounds.jobs[i] for i, z in enumerate(flags))}")
     path = outdir / "ems.csv"
     path.write_text("\n".join(lines) + "\n")
     return {"ems": path}
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def write_csv(path: Path, rows: list[dict]) -> None:
     if not rows:
         path.write_text("")
         return
@@ -319,22 +296,15 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def _summarise(rows: list[dict]) -> list[dict]:
-    groups: dict[tuple, list[int]] = {}
+    # per group, the maximum of each sweep (every row of a sweep carries it)
+    groups: dict[tuple, dict[tuple, int]] = {}
     for row in rows:
         key = (row["set"], row["method"], row["mode"], row.get("variant", ""))
-        groups.setdefault(key, [])
-    seen = set()
-    for row in rows:
-        key = (row["set"], row["method"], row["mode"], row.get("variant", ""))
-        ident = key + (row["seed"], row["instance"])
-        if ident in seen:
-            continue
-        seen.add(ident)
-        groups[key].append(int(row["max_util"]))
+        sweeps = groups.setdefault(key, {})
+        sweeps.setdefault((row["seed"], row["instance"]), int(row["max_util"]))
     out = []
-    for (set_id, method, mode, variant), vals in sorted(groups.items()):
-        if not vals:
-            continue
+    for (set_id, method, mode, variant), sweeps in sorted(groups.items()):
+        vals = list(sweeps.values())
         q = statistics.quantiles(vals, n=4) if len(vals) > 1 else [vals[0]] * 3
         out.append({
             "set": set_id, "method": method, "mode": mode, "variant": variant,

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from . import bench, export, generator, mapping, serialize
 from .heuristic import run_3ls
-from .model import derive_bounds
 from .solver import FEASIBLE, INFEASIBLE, JC, TIMED_OUT, ZJ, build_model, solve_instance
 from .validation import validate
 
@@ -103,8 +102,8 @@ def cmd_sweep(args) -> int:
     res = bench.max_util_sweep(inst, args.method, args.mode, limits)
     print(f"max utilization: {res.max_util}%")
     if args.output:
-        rows = bench._sweep_rows("-", "-", [res])
-        bench._write_csv(Path(args.output), rows)
+        rows = bench.sweep_rows("-", "-", [res])
+        bench.write_csv(Path(args.output), rows)
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a study protocol")
     e.add_argument("--name", required=True,
                    choices=["jitter-sweep", "zj-fraction-sweep",
-                            "period-study", "scale-study", "ems"])
+                            "period-study", "ems"])
     e.add_argument("--sets", default="1")
     e.add_argument("--seeds", default="0")
     e.add_argument("--methods", default="exact")

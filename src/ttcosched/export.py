@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from .serialize import instance_hash
-from .solver import ZJ, BuiltModel, _decode
+from .solver import BuiltModel, _decode
 from .validation import Schedule
 
 
@@ -26,11 +26,10 @@ def _num(n: int) -> str:
 
 def _job_term(model: BuiltModel, act: int, job: int) -> str:
     """SMT term for the start of one job (offset form in ZJ mode)."""
-    if model.mode == ZJ:
-        off = (job - 1) * model.instance.activities[act].period
-        base = _var(act, 1)
-        return base if off == 0 else f"(+ {base} {off})"
-    return _var(act, job)
+    idx, off = model.var_expr(act, job)
+    v = model.job_vars[idx]
+    base = _var(v.act, v.job)
+    return base if off == 0 else f"(+ {base} {off})"
 
 
 def export_smtlib(model: BuiltModel) -> str:

@@ -19,22 +19,19 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .intervals import IntervalSet
-from .model import Activity, DerivedBounds, Instance, derive_bounds
+from .model import (Activity, DerivedBounds, Instance, _job_arcs, _job_pairs,
+                    _job_window, derive_bounds)
 from .search import INCUMBENT, OPTIMAL, Engine
 from .validation import Schedule, validate
 
-
-@dataclass
-class HeuristicConfig:
-    # Two-period job windows match the solver's; the literal one-period
-    # initialisation is kept for comparison runs.
-    two_period_domains: bool = True
-    pair_node_limit: int = 100_000
-    iteration_limit_factor: int = 50
+# node budget of one pair search
+PAIR_NODE_LIMIT = 100_000
+# a run stops after this many iterations per activity (plus 1000)
+ITERATION_LIMIT_FACTOR = 50
 
 
 @dataclass
@@ -63,11 +60,9 @@ class DomainStore:
     asked about.
     """
 
-    def __init__(self, instance: Instance, bounds: DerivedBounds,
-                 config: HeuristicConfig | None = None):
+    def __init__(self, instance: Instance, bounds: DerivedBounds):
         self.instance = instance
         self.bounds = bounds
-        self.config = config or HeuristicConfig()
         self.sched: dict[int, tuple[int, ...]] = {}
         resources = range(instance.platform.resources)
         # per resource: (block starts, block ends)
@@ -131,16 +126,15 @@ class DomainStore:
                 del rows[bisect_left(rows, (s, s + e))]
 
     def window(self, act: int, job: int) -> tuple[int, int]:
-        """Initial admissible interval of job ``job`` (1-based)."""
-        a = self.instance.activities[act]
-        tb = self.bounds.before[act]
-        ta = self.bounds.after[act]
-        lo = (job - 1) * a.period + tb
-        if self.config.two_period_domains:
-            hi = (job + 1) * a.period - ta - a.exec_time - 1
-        else:
-            hi = job * a.period - ta - a.exec_time - 1
-        return lo, hi
+        """Initial admissible interval of job ``job`` (1-based).
+
+        It is the model's job window less its last start (the ``- 1``):
+        the 3-LS placements that the tests and the benchmark's fingerprints
+        pin rest on these windows.  The exact model and the validator admit
+        that last start too.
+        """
+        lo, hi = _job_window(self.instance.activities[act], self.bounds, job)
+        return lo, hi - 1
 
     def domains(self, act: int) -> list[IntervalSet]:
         """Current domain of every job of ``act`` given the scheduled set.
@@ -267,26 +261,25 @@ def _shifted(rows, lo: int, stop: int, shift: int) -> list[tuple[int, int]]:
 
 def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
               a1: int, a2: int | None = None,
-              config: HeuristicConfig | None = None,
               time_limit: float | None = None):
     """Place all jobs of ``a1`` (and ``a2``) minimising the start-time sum.
 
     Returns ``{act: starts}`` or None.  Each activity's jobs are joined by
-    the arcs of ``_job_arcs``.  A single activity takes the least solution
+    the arcs of ``_own_arcs``.  A single activity takes the least solution
     of its arcs, found by ``_least_starts`` without an Engine: greedy
     earliest placement, which reads no gap list of its domains.  A pair adds
-    the mutual precedence arcs and resource disjunctions, and an Engine over
-    the gap lists of both activities' domains searches it within
-    ``time_limit`` and ``config.pair_node_limit``.
+    the mutual precedence arcs and the resource disjunctions of
+    ``model._job_pairs`` over the domains' spans, and an Engine over the gap
+    lists of both activities' domains searches it within ``time_limit`` and
+    ``PAIR_NODE_LIMIT`` nodes.
     """
     if a2 is None:
         doms = store.domains(a1)
         if any(dom.is_empty() for dom in doms):
             return None
-        starts = _least_starts(doms, _job_arcs(instance.activities[a1], bounds))
+        starts = _least_starts(doms, _own_arcs(instance.activities[a1], bounds))
         return None if starts is None else {a1: tuple(starts)}
 
-    config = config or (store.config if store else HeuristicConfig())
     acts = [a1, a2]
     doms: list[IntervalSet] = []
     index: dict[tuple[int, int], int] = {}
@@ -299,10 +292,9 @@ def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
             doms.append(dom)
 
     engine = Engine(doms)
-    hyper = bounds.hyper_period
     for act in acts:
         first = index[(act, 1)]
-        for j, k, c in _job_arcs(instance.activities[act], bounds):
+        for j, k, c in _own_arcs(instance.activities[act], bounds):
             engine.add_arc(first + j, first + k, c)
 
     x, y = instance.activities[a1], instance.activities[a2]
@@ -312,21 +304,16 @@ def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
             for j in range(1, bounds.jobs[i] + 1):
                 engine.add_arc(index[(i, j)], index[(l, j)], e_i)
     if x.resource == y.resource:
-        n1, n2 = bounds.jobs[a1], bounds.jobs[a2]
-        for j in range(1, n1 + 1):
-            for k in range(1, n2 + 1):
-                u, v = index[(a1, j)], index[(a2, k)]
-                if (doms[u].min() < doms[v].max() + y.exec_time
-                        and doms[v].min() < doms[u].max() + x.exec_time):
-                    engine.add_disjunction(u, v, x.exec_time, y.exec_time)
-        # first-period (+H) against last-period wrap pairs
-        u, v = index[(a1, 1)], index[(a2, n2)]
-        engine.add_disjunction(u, v, x.exec_time + hyper, y.exec_time - hyper)
-        u, v = index[(a2, 1)], index[(a1, n1)]
-        engine.add_disjunction(u, v, y.exec_time + hyper, x.exec_time - hyper)
+        spans = [(dom.min(), dom.max()) for dom in doms]
+        n1 = bounds.jobs[a1]
+        for (i, j), (l, k), shift in _job_pairs(x, y, spans[:n1], spans[n1:],
+                                                bounds.hyper_period):
+            engine.add_disjunction(index[(i, j)], index[(l, k)],
+                                   instance.activities[i].exec_time + shift,
+                                   instance.activities[l].exec_time - shift)
 
     status, values, _stats = engine.minimize_sum(
-        time_limit=time_limit, node_limit=config.pair_node_limit)
+        time_limit=time_limit, node_limit=PAIR_NODE_LIMIT)
     if status not in (OPTIMAL, INCUMBENT):
         return None
     result = {}
@@ -336,31 +323,11 @@ def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
     return result
 
 
-def _job_arcs(a: Activity, bounds: DerivedBounds) -> list[tuple[int, int, int]]:
-    """Arcs ``(j, k, c)``, meaning s_k >= s_j + c, between the jobs
-    ``0..n-1`` of activity ``a``.
-
-    They are the self arcs s_{j+1} >= s_j + e and their wrap
-    s_0 + H >= s_{n-1} + e, and the jitter band
-    p - jit <= s_{j+1} - s_j <= p + jit with its boundary pair between s_0
-    and s_{n-1}.  A self arc and the jitter arc on the same jobs are one arc
-    of the larger weight.  They come as a forward pass, the wrap and
-    boundary arcs, then a backward pass.
-    """
-    n = bounds.jobs[a.id]
-    if n < 2:
-        return []
-    e, p, jit, hyper = a.exec_time, a.period, a.jitter, bounds.hyper_period
-    # Jitter arcs are dropped only when the windows already cap the
-    # deviation below the bound; the validator checks every activity.
-    keep_jitter = jit < p + bounds.slack[a.id]
-    step = max(e, p - jit) if keep_jitter else e
-    arcs = [(j, j + 1, step) for j in range(n - 1)]
-    arcs.append((n - 1, 0, step - hyper))
-    if keep_jitter:
-        arcs.append((0, n - 1, hyper - p - jit))
-        arcs += [(j + 1, j, -(p + jit)) for j in range(n - 2, -1, -1)]
-    return arcs
+def _own_arcs(a: Activity, bounds: DerivedBounds) -> list[tuple[int, int, int]]:
+    """``model._job_arcs`` of ``a``, with the jitter band kept by the width
+    of the model's job windows."""
+    lo, hi = _job_window(a, bounds, 1)
+    return _job_arcs(a, bounds, hi - lo)
 
 
 def _least_starts(doms: list[IntervalSet], arcs) -> list[int] | None:
@@ -412,7 +379,6 @@ def choose_unschedule(instance: Instance, bounds: DerivedBounds,
 
 
 def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
-            config: HeuristicConfig | None = None,
             time_limit: float | None = None):
     """Run the heuristic; returns (Schedule | None, HeuristicStats).
 
@@ -422,10 +388,9 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
     t0 = time.monotonic()
     if bounds is None:
         bounds = derive_bounds(instance)
-    config = config or HeuristicConfig()
     stats = HeuristicStats()
     n = instance.n
-    store = DomainStore(instance, bounds, config)
+    store = DomainStore(instance, bounds)
 
     key = {a.id: (min(bounds.slack[a.id], bounds.inherited_jitter[a.id]),
                   max(bounds.slack[a.id], bounds.inherited_jitter[a.id]),
@@ -445,7 +410,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
     level3_pairs: set[frozenset] = set()
     solo_restarts: set[int] = set()
     retry: int | None = None
-    iteration_limit = config.iteration_limit_factor * n + 1000
+    iteration_limit = ITERATION_LIMIT_FACTOR * n + 1000
 
     def fail(reason: str):
         stats.status = reason
@@ -509,7 +474,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
         if a_c is None:
             return fail("no_ready_activity")
 
-        placement = sub_model(instance, bounds, store, a_c, None, config)
+        placement = sub_model(instance, bounds, store, a_c)
         if placement is not None:
             do_insert(placement)
             stats.level1 += 1
@@ -524,7 +489,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
             solo_restarts.add(a_c)
             keep = scratch | set(instance.dag.pred_closure[a_c])
             release([x for x in store.sched if x not in keep])
-            placement = sub_model(instance, bounds, store, a_c, None, config)
+            placement = sub_model(instance, bounds, store, a_c)
             stats.level3 += 1
             if placement is None:
                 return fail("fail")
@@ -538,7 +503,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
             continue
 
         # level 2: co-schedule the two problematic activities
-        placement = sub_model(instance, bounds, store, a_c, a_u, config,
+        placement = sub_model(instance, bounds, store, a_c, a_u,
                               remaining())
         if placement is not None:
             do_insert(placement)
@@ -558,7 +523,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
         keep = (scratch | set(instance.dag.pred_closure[a_c])
                 | set(instance.dag.pred_closure[a_u]))
         release([x for x in store.sched if x not in keep])
-        placement = sub_model(instance, bounds, store, a_c, a_u, config,
+        placement = sub_model(instance, bounds, store, a_c, a_u,
                               remaining())
         if placement is None:
             return fail("timeout" if out_of_time() else "fail")

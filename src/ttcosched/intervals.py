@@ -33,12 +33,6 @@ class IntervalSet:
         s._ivs = [(lo, hi)] if lo <= hi else []
         return s
 
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        s = cls.__new__(cls)
-        s._ivs = []
-        return s
-
     @property
     def intervals(self) -> list[tuple[int, int]]:
         return list(self._ivs)
@@ -52,18 +46,12 @@ class IntervalSet:
     def max(self) -> int:
         return self._ivs[-1][1]
 
-    def count(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self._ivs)
-
     def __contains__(self, x: int) -> bool:
         i = bisect_right(self._ivs, (x, float("inf"))) - 1
         return i >= 0 and self._ivs[i][0] <= x <= self._ivs[i][1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and self._ivs == other._ivs
-
-    def __hash__(self):
-        return hash(tuple(self._ivs))
 
     def __repr__(self) -> str:
         body = " u ".join(f"[{lo},{hi}]" for lo, hi in self._ivs)
@@ -89,36 +77,3 @@ class IntervalSet:
             return None
         lo, hi = self._ivs[i]
         return min(x, hi) if x >= lo else hi if x > hi else None
-
-    def subtract(self, lo: int, hi: int) -> "IntervalSet":
-        """Set minus the closed interval [lo, hi]."""
-        if lo > hi or not self._ivs:
-            return self
-        out: list[tuple[int, int]] = []
-        for a, b in self._ivs:
-            if b < lo or a > hi:
-                out.append((a, b))
-                continue
-            if a < lo:
-                out.append((a, lo - 1))
-            if b > hi:
-                out.append((hi + 1, b))
-        s = IntervalSet.__new__(IntervalSet)
-        s._ivs = out
-        return s
-
-    def clip(self, lo: int, hi: int) -> "IntervalSet":
-        """Intersection with the closed interval [lo, hi]."""
-        out = []
-        for a, b in self._ivs:
-            a2, b2 = max(a, lo), min(b, hi)
-            if a2 <= b2:
-                out.append((a2, b2))
-        s = IntervalSet.__new__(IntervalSet)
-        s._ivs = out
-        return s
-
-    def shift(self, delta: int) -> "IntervalSet":
-        s = IntervalSet.__new__(IntervalSet)
-        s._ivs = [(a + delta, b + delta) for a, b in self._ivs]
-        return s

@@ -5,14 +5,20 @@ non-preemptively with integer start times on a tick grid (default 1 us per
 tick).  This module holds the immutable instance model plus everything that
 can be derived from it before solving: hyper-period, job counts, precedence
 window bounds, worst-case slack and jitter criticality.
+
+It also states, once, the three rules the exact model (``solver``) and the
+3-LS heuristic (``heuristic``) build their constraints from: a job's start
+window (``_job_window``), the arcs among an activity's own jobs with the
+jitter band (``_job_arcs``), and the job pairs of two same-resource
+activities that need a resource disjunction (``_job_pairs``).  The
+independent validator shares none of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 TICK_MAX = 2**64 - 1
 
@@ -196,9 +202,6 @@ class Instance:
     def hyper_period(self) -> int:
         return hyper_period(self.periods())
 
-    def on_resource(self, resource: int) -> list[Activity]:
-        return [a for a in self.activities if a.resource == resource]
-
     def with_activities(self, activities) -> "Instance":
         return replace(self, activities=tuple(activities))
 
@@ -215,8 +218,6 @@ class DerivedBounds:
 
     hyper_period: int
     jobs: tuple[int, ...]            # n_i = H / p_i
-    path_before: tuple[int, ...]     # longest predecessor chain, exec sums
-    path_after: tuple[int, ...]
     before: tuple[int, ...]          # refined by same-resource predecessor sums
     after: tuple[int, ...]
     slack: tuple[int, ...]           # p - (before + after + e); may be negative
@@ -323,7 +324,6 @@ def derive_bounds(instance: Instance) -> DerivedBounds:
     acts = instance.activities
     hyper = instance.hyper_period()
     jobs = tuple(job_count(a, hyper) for a in acts)
-    path_b, path_a = longest_path_bounds(instance)
     before, after = chain_bounds(instance)
     slack = tuple(worst_case_slack(a, before[a.id], after[a.id]) for a in acts)
     jitters = [a.jitter for a in acts]
@@ -332,11 +332,81 @@ def derive_bounds(instance: Instance) -> DerivedBounds:
     return DerivedBounds(
         hyper_period=hyper,
         jobs=jobs,
-        path_before=tuple(path_b),
-        path_after=tuple(path_a),
         before=tuple(before),
         after=tuple(after),
         slack=slack,
         inherited_jitter=inherited,
         jitter_critical=critical,
     )
+
+
+def _job_window(a: Activity, bounds: DerivedBounds, job: int,
+                improvements: bool = True) -> tuple[int, int]:
+    """Start window ``[lo, hi]`` of job ``job`` (1-based) of ``a``.
+
+    The job may start from the beginning of its own period until it ends
+    by the end of the next one.  With ``improvements`` the window loses the
+    execution that must run before and after ``a`` in the same period
+    (``bounds.before/after``).
+    """
+    if improvements:
+        tb, ta = bounds.before[a.id], bounds.after[a.id]
+    else:
+        tb = ta = 0
+    return (job - 1) * a.period + tb, (job + 1) * a.period - a.exec_time - ta
+
+
+def _job_arcs(a: Activity, bounds: DerivedBounds,
+              width: int) -> list[tuple[int, int, int]]:
+    """Arcs ``(j, k, c)``, meaning s_k >= s_j + c, between the jobs
+    ``0..n-1`` of activity ``a``.
+
+    They are the self arcs s_{j+1} >= s_j + e and their wrap
+    s_0 + H >= s_{n-1} + e, and the jitter band
+    p - jit <= s_{j+1} - s_j <= p + jit with its boundary pair between s_0
+    and s_{n-1}.  The band is kept iff ``jit < width``, the width of the
+    job windows: windows no wider than jit already keep every deviation
+    from the period within jit, and ``width`` 0 gives the self arcs alone.
+    A self arc and the jitter arc on the same jobs are one arc of the
+    larger weight.  They come as a forward pass, the wrap and boundary
+    arcs, then a backward pass.
+    """
+    n = bounds.jobs[a.id]
+    if n < 2:
+        return []
+    e, p, jit, hyper = a.exec_time, a.period, a.jitter, bounds.hyper_period
+    keep_jitter = jit < width
+    step = max(e, p - jit) if keep_jitter else e
+    arcs = [(j, j + 1, step) for j in range(n - 1)]
+    arcs.append((n - 1, 0, step - hyper))
+    if keep_jitter:
+        arcs.append((0, n - 1, hyper - p - jit))
+        arcs += [(j + 1, j, -(p + jit)) for j in range(n - 2, -1, -1)]
+    return arcs
+
+
+def _job_pairs(x: Activity, y: Activity, win_x, win_y, hyper: int,
+               prune: bool = True) -> list[tuple]:
+    """The job pairs of two activities on one resource that need a resource
+    disjunction, as ``((act, j), (act, k), shift)``: job j of the first,
+    started ``shift`` later, and job k of the second must not overlap.
+
+    They are every job of ``x`` against every job of ``y`` (shift 0), row
+    by row, then the hyper-period wrap: the first job of each, shifted by H,
+    against the last job of the other.  ``win_x[j - 1]`` is the start
+    window ``(lo, hi)`` of job j of ``x``.  With ``prune`` a pair whose
+    windows keep the two jobs apart is left out: one side of its
+    disjunction always holds.
+    """
+    ex, ey = x.exec_time, y.exec_time
+    pairs = []
+    for j, (lo1, hi1) in enumerate(win_x, 1):
+        for k, (lo2, hi2) in enumerate(win_y, 1):
+            if not prune or (lo1 < hi2 + ey and lo2 < hi1 + ex):
+                pairs.append(((x.id, j), (y.id, k), 0))
+    for (f, wf), (s, ws) in (((x, win_x), (y, win_y)), ((y, win_y), (x, win_x))):
+        (lo1, hi1), (lo2, hi2) = wf[0], ws[-1]
+        if not prune or (lo1 + hyper < hi2 + s.exec_time
+                         and lo2 < hi1 + hyper + f.exec_time):
+            pairs.append(((f.id, 1), (s.id, len(ws)), hyper))
+    return pairs

@@ -479,12 +479,9 @@ class Engine:
             return (INCUMBENT if timed_out else OPTIMAL), best, stats
         return (TIMEOUT, None, stats) if timed_out else (UNSAT, None, stats)
 
-    def solve_feasible(self, time_limit=None):
-        """First feasible assignment: (SAT/UNSAT/TIMEOUT, vector, stats)."""
-        return self._run(time_limit, minimize=False)
-
-    def solve_feasible_limited(self, time_limit, node_limit):
-        """Feasibility attempt bounded by nodes as well as wall time."""
+    def solve_feasible_limited(self, time_limit=None, node_limit=None):
+        """First feasible assignment within the wall and node limits:
+        (SAT/UNSAT/TIMEOUT, vector, stats)."""
         return self._run(time_limit, minimize=False, node_limit=node_limit)
 
     def minimize_sum(self, time_limit=None, node_limit=None):

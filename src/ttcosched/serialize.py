@@ -1,4 +1,4 @@
-"""JSON interchange for instances and schedules, plus CSV helpers."""
+"""JSON interchange for instances and schedules."""
 
 from __future__ import annotations
 
@@ -125,12 +125,3 @@ def load_schedule(path) -> Schedule:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read schedule: {exc}") from exc
     return schedule_from_dict(data)
-
-
-def schedule_to_csv(instance: Instance, schedule: Schedule) -> str:
-    lines = ["activity,kind,resource,job,start,zj"]
-    for a in instance.activities:
-        for j, s in enumerate(schedule.starts[a.id], start=1):
-            lines.append(f"{a.id},{a.kind},{a.resource},{j},{s},"
-                         f"{int(schedule.zj[a.id])}")
-    return "\n".join(lines) + "\n"

@@ -12,12 +12,16 @@ of the two periods, and (d) keeps explicit jitter constraints only for
 jitter-critical activities.  None of these changes the set of feasible
 schedules, so verdicts match the plain model.
 
-The native search additionally enforces jitter arcs for any activity whose
-variable windows leave room to exceed its bound even when the model-surface
-constraint was dropped by improvement (d); the dropped constraint is only
-guaranteed redundant within one-period windows, while the variables range
-over two periods.  This keeps every returned schedule consistent with the
-independent validator.
+The job windows, the resource pairs and the arcs among an activity's own
+jobs come from the rules in ``model`` that 3-LS uses too.  The jitter rule
+lives in ``model._job_arcs``: the native search keeps the jitter band of
+every activity whose job windows are wider than its jitter, also when
+improvement (d) left the activity out of ``jitter_kept``, because the
+dropped rows are only redundant within one-period windows while the
+variables range over two periods.  This keeps every returned schedule
+consistent with the independent validator.  The exports still write
+jitter rows for ``jitter_kept`` only, so the model they carry can be looser
+than the one the native search solves.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import time
 from dataclasses import dataclass, field
 
 from .intervals import IntervalSet
-from .model import DerivedBounds, Instance, derive_bounds
-from .search import SAT, TIMEOUT, UNSAT, Engine, SearchStats
+from .model import (DerivedBounds, Instance, _job_arcs, _job_pairs, _job_window,
+                    derive_bounds)
+from .search import SAT, UNSAT, Engine, SearchStats
 from .validation import Schedule, validate
 
 ZJ = "zj"
@@ -78,7 +83,6 @@ class BuiltModel:
     pairs: list[OrderingPair]
     prec_arcs: list[tuple[int, int, int, str]]  # (u, v, c, kind)
     jitter_kept: list[int]       # activities whose jitter rows stay in the model
-    jitter_enforced: list[int]   # activities the native search constrains
 
     def var_expr(self, act: int, job: int) -> tuple[int, int]:
         """(variable index, constant offset) for the start of job ``job``."""
@@ -99,11 +103,6 @@ class SolveResult:
         return self.status == FEASIBLE
 
 
-def _windows_overlap(lb1, ub1, e1, lb2, ub2, e2) -> bool:
-    """Can two jobs with start windows [lb, ub] and lengths e collide at all?"""
-    return lb1 < ub2 + e2 and lb2 < ub1 + e1
-
-
 def build_model(instance: Instance, bounds: DerivedBounds | None = None,
                 mode: str = JC, improvements: bool = True) -> BuiltModel:
     if mode not in (ZJ, JC):
@@ -111,87 +110,48 @@ def build_model(instance: Instance, bounds: DerivedBounds | None = None,
     if bounds is None:
         bounds = derive_bounds(instance)
     acts = instance.activities
-    hyper = bounds.hyper_period
+    model = BuiltModel(instance=instance, bounds=bounds, mode=mode,
+                       improvements=improvements, job_vars=[], var_of={},
+                       pairs=[], prec_arcs=[], jitter_kept=[])
+    job_vars, var_of = model.job_vars, model.var_of
 
-    job_vars: list[JobVar] = []
-    var_of: dict[tuple[int, int], int] = {}
-
-    def add_var(i, j, lb, ub):
-        if lb > ub:
-            raise ModelInfeasible(
-                f"activity {i} job {j}: window [{lb}, {ub}] is empty")
-        var_of[(i, j)] = len(job_vars)
-        job_vars.append(JobVar(i, j, lb, ub))
-
+    windows = [[_job_window(a, bounds, j, improvements)
+                for j in range(1, bounds.jobs[a.id] + 1)] for a in acts]
     for a in acts:
-        tb = bounds.before[a.id] if improvements else 0
-        ta = bounds.after[a.id] if improvements else 0
-        if mode == ZJ:
-            add_var(a.id, 1, tb, 2 * a.period - a.exec_time - ta)
-        else:
-            for j in range(1, bounds.jobs[a.id] + 1):
-                add_var(a.id, j,
-                        (j - 1) * a.period + tb,
-                        (j + 1) * a.period - a.exec_time - ta)
+        for j, (lb, ub) in enumerate(windows[a.id][:1] if mode == ZJ
+                                     else windows[a.id], start=1):
+            if lb > ub:
+                raise ModelInfeasible(
+                    f"activity {a.id} job {j}: window [{lb}, {ub}] is empty")
+            var_of[(a.id, j)] = len(job_vars)
+            job_vars.append(JobVar(a.id, j, lb, ub))
 
-    def window(i, j):
-        if mode == ZJ:
-            v = job_vars[var_of[(i, 1)]]
-            off = (j - 1) * acts[i].period
-            return v.lb + off, v.ub + off
-        v = job_vars[var_of[(i, j)]]
-        return v.lb, v.ub
-
-    pairs: list[OrderingPair] = []
-
-    def add_pair(i, j, l, k, shift_i, wrap):
-        """Resource disjunction between job (i,j) shifted by shift_i and (l,k)."""
-        lb1, ub1 = window(i, j)
-        lb2, ub2 = window(l, k)
-        e1, e2 = acts[i].exec_time, acts[l].exec_time
-        if improvements and not _windows_overlap(
-                lb1 + shift_i, ub1 + shift_i, e1, lb2, ub2, e2):
-            return
-        (u, ou), (v, ov) = (
-            _expr(i, j), _expr(l, k))
-        pairs.append(OrderingPair(
-            u=u, v=v,
-            a=e1 + ou + shift_i - ov,
-            b=e2 + ov - ou - shift_i,
-            wrap=wrap,
-            jobs=((i, j), (l, k))))
-
-    def _expr(i, j):
-        if mode == ZJ:
-            return var_of[(i, 1)], (j - 1) * acts[i].period
-        return var_of[(i, j)], 0
-
+    exprs = [[model.var_expr(a.id, j) for j in range(1, bounds.jobs[a.id] + 1)]
+             for a in acts]
     for res in range(instance.platform.resources):
-        group = [a.id for a in acts if a.resource == res]
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                i, l = group[x], group[y]
-                if mode == ZJ:
-                    # constraints repeat every lcm of the two periods: jobs at
-                    # the same relative offset share one constraint on the two
-                    # offset variables, so deduplicate the grid by offset
-                    seen: set[int] = set()
-                    for j in range(1, bounds.jobs[i] + 1):
-                        for k in range(1, bounds.jobs[l] + 1):
-                            off = (j - 1) * acts[i].period - (k - 1) * acts[l].period
-                            if off in seen:
-                                continue
-                            seen.add(off)
-                            add_pair(i, j, l, k, 0, wrap=False)
-                else:
-                    for j in range(1, bounds.jobs[i] + 1):
-                        for k in range(1, bounds.jobs[l] + 1):
-                            add_pair(i, j, l, k, 0, wrap=False)
-                # first-period jobs collide with last-period jobs (+H)
-                add_pair(i, 1, l, bounds.jobs[l], hyper, wrap=True)
-                add_pair(l, 1, i, bounds.jobs[i], hyper, wrap=True)
+        group = [a for a in acts if a.resource == res]
+        for x, a in enumerate(group):
+            for b in group[x + 1:]:
+                # zero-jitter constraints repeat every lcm of the two periods:
+                # jobs at the same relative offset share one constraint on
+                # the two offset variables, so the grid keeps one per offset
+                seen: set[int] = set()
+                for (i, j), (l, k), shift in _job_pairs(
+                        a, b, windows[a.id], windows[b.id],
+                        bounds.hyper_period, prune=improvements):
+                    (u, ou), (v, ov) = exprs[i][j - 1], exprs[l][k - 1]
+                    if mode == ZJ and not shift:
+                        if ou - ov in seen:
+                            continue
+                        seen.add(ou - ov)
+                    model.pairs.append(OrderingPair(
+                        u=u, v=v,
+                        a=acts[i].exec_time + ou + shift - ov,
+                        b=acts[l].exec_time + ov - ou - shift,
+                        wrap=bool(shift),
+                        jobs=((i, j), (l, k))))
 
-    prec_arcs: list[tuple[int, int, int, str]] = []
+    prec_arcs = model.prec_arcs
     for i, l in sorted(instance.dag.edges):
         e_i = acts[i].exec_time
         if mode == ZJ:
@@ -201,62 +161,22 @@ def build_model(instance: Instance, bounds: DerivedBounds | None = None,
                 prec_arcs.append((var_of[(i, j)], var_of[(l, j)], e_i, "dag"))
     if mode == JC:
         for a in acts:
-            n = bounds.jobs[a.id]
-            for j in range(1, n):
-                prec_arcs.append((var_of[(a.id, j)], var_of[(a.id, j + 1)],
-                                  a.exec_time, "self"))
-            if n >= 2:
-                prec_arcs.append((var_of[(a.id, n)], var_of[(a.id, 1)],
-                                  a.exec_time - hyper, "self_wrap"))
-
-    jitter_kept: list[int] = []
-    jitter_enforced: list[int] = []
-    if mode == JC:
-        for a in acts:
-            if bounds.jobs[a.id] < 2:
-                continue
-            if not improvements or bounds.jitter_critical[a.id]:
-                jitter_kept.append(a.id)
-            v1 = job_vars[var_of[(a.id, 1)]]
-            if a.jitter < v1.width:
-                jitter_enforced.append(a.id)
-
-    return BuiltModel(
-        instance=instance, bounds=bounds, mode=mode, improvements=improvements,
-        job_vars=job_vars, var_of=var_of, pairs=pairs, prec_arcs=prec_arcs,
-        jitter_kept=jitter_kept, jitter_enforced=jitter_enforced)
-
-
-def _jitter_arcs(model: BuiltModel, act: int):
-    """Difference arcs for the relative-jitter constraints of one activity."""
-    a = model.instance.activities[act]
-    n = model.bounds.jobs[act]
-    hyper = model.bounds.hyper_period
-    arcs = []
-    for j in range(1, n):
-        u = model.var_of[(act, j)]
-        v = model.var_of[(act, j + 1)]
-        arcs.append((u, v, a.period - a.jitter))
-        arcs.append((v, u, -(a.period + a.jitter)))
-    if n >= 2:
-        u1 = model.var_of[(act, 1)]
-        un = model.var_of[(act, n)]
-        arcs.append((u1, un, hyper - a.period - a.jitter))
-        arcs.append((un, u1, a.period - a.jitter - hyper))
-    return arcs
+            first = var_of[(a.id, 1)]
+            prec_arcs += [(first + j, first + k, c, "self" if k > j else "self_wrap")
+                          for j, k, c in _job_arcs(a, bounds, 0)]
+            if bounds.jobs[a.id] >= 2 and (
+                    not improvements or bounds.jitter_critical[a.id]):
+                model.jitter_kept.append(a.id)
+    return model
 
 
 def _decode(model: BuiltModel, assignment: list[int]) -> Schedule:
     inst = model.instance
     rows = []
     for a in inst.activities:
-        n = model.bounds.jobs[a.id]
-        if model.mode == ZJ:
-            s1 = assignment[model.var_of[(a.id, 1)]]
-            rows.append(tuple(s1 + (j - 1) * a.period for j in range(1, n + 1)))
-        else:
-            rows.append(tuple(assignment[model.var_of[(a.id, j)]]
-                              for j in range(1, n + 1)))
+        exprs = (model.var_expr(a.id, j)
+                 for j in range(1, model.bounds.jobs[a.id] + 1))
+        rows.append(tuple(assignment[v] + off for v, off in exprs))
     zj = tuple(model.mode == ZJ or a.jitter == 0 for a in inst.activities)
     return Schedule(tuple(rows), zj)
 
@@ -276,11 +196,15 @@ def _pair_sort_key(model: BuiltModel):
 
 def _make_engine(model: BuiltModel, pairs) -> Engine:
     engine = Engine([IntervalSet.span(v.lb, v.ub) for v in model.job_vars])
-    for u, v, c, _kind in model.prec_arcs:
-        engine.add_arc(u, v, c)
-    for act in model.jitter_enforced:
-        for u, v, c in _jitter_arcs(model, act):
+    for u, v, c, kind in model.prec_arcs:
+        if kind == "dag":
             engine.add_arc(u, v, c)
+    if model.mode == JC:
+        for a in model.instance.activities:
+            first = model.var_of[(a.id, 1)]
+            width = model.job_vars[first].width
+            for j, k, c in _job_arcs(a, model.bounds, width):
+                engine.add_arc(first + j, first + k, c)
     for pair in pairs:
         engine.add_disjunction(pair.u, pair.v, pair.a, pair.b)
     return engine
@@ -315,8 +239,8 @@ def solve(model: BuiltModel, time_limit: float | None = None) -> SolveResult:
         if status == SAT:
             schedule = _decode(model, assignment)
             report = validate(model.instance, schedule)
-            if not report.ok:  # pragma: no cover - soundness guard
-                raise AssertionError(
+            if not report.ok:
+                raise RuntimeError(
                     f"solver produced an invalid schedule: {report.violations[:3]}")
             return SolveResult(FEASIBLE, schedule, total)
         if status == UNSAT:

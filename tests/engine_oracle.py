@@ -8,12 +8,12 @@ own, and returns the engine's ``minimize_sum``.
 
 from __future__ import annotations
 
-from ttcosched.heuristic import HeuristicConfig
+from ttcosched.heuristic import PAIR_NODE_LIMIT
 from ttcosched.search import INCUMBENT, OPTIMAL, Engine
 
 
 def engine_place_one(instance, bounds, doms, act: int,
-                     node_limit: int = HeuristicConfig().pair_node_limit):
+                     node_limit: int = PAIR_NODE_LIMIT):
     """``{act: starts}`` minimising the start-time sum over ``doms``, or None."""
     if any(dom.is_empty() for dom in doms):
         return None

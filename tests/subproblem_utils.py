@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from ttcosched.heuristic import DomainStore, HeuristicConfig
+from ttcosched.heuristic import DomainStore
 from ttcosched.intervals import IntervalSet
 from ttcosched.model import Activity, Instance, Platform, PrecedenceDAG, derive_bounds
 
@@ -13,7 +13,7 @@ class FixedDomainStore(DomainStore):
     """DomainStore whose admissible sets are injected by the test."""
 
     def __init__(self, instance, bounds, fixed):
-        super().__init__(instance, bounds, HeuristicConfig())
+        super().__init__(instance, bounds)
         self.fixed = fixed
 
     def domains(self, act):

@@ -11,8 +11,7 @@ from ttcosched.generator import GenParams, generate
 from ttcosched.model import Activity, Instance, Platform, PrecedenceDAG
 from ttcosched.serialize import (instance_from_dict, instance_to_dict,
                                  load_instance, load_schedule, save_instance,
-                                 schedule_from_dict, schedule_to_csv,
-                                 schedule_to_dict)
+                                 schedule_from_dict, schedule_to_dict)
 from ttcosched.solver import solve_instance
 from ttcosched.validation import Schedule
 
@@ -93,6 +92,44 @@ def test_run_experiment_csv_deterministic(tmp_path):
     assert (files_a["summary"]).read_text() == (files_b["summary"]).read_text()
 
 
+def _pinned_rows(modes, variants=(None,)):
+    """points.csv rows, but wall_s, of 3-LS on set 1, seed 0, at 10-12%:
+    the first mode's sweep finds every point, and each later mode reuses
+    its schedules."""
+    rows = []
+    for variant in variants:
+        for m, mode in enumerate(modes):
+            for u in (10, 11, 12):
+                row = {"instance": "set1-seed0" + (f"-{variant}" if variant else ""),
+                       "max_util": "12", "method": "3ls", "mode": mode,
+                       "seed": "0", "set": "1",
+                       "source": "witness" if m else "heuristic",
+                       "status": "feasible", "u": str(u)}
+                if variant:
+                    row["variant"] = variant
+                rows.append(row)
+    return rows
+
+
+def test_run_experiment_pins_the_zj_fraction_and_period_studies(tmp_path):
+    expected = {
+        "zj-fraction-sweep": _pinned_rows(
+            [f"jc:frac{p}" for p in range(100, -1, -5)]),
+        "period-study": _pinned_rows(
+            ("zj", "jc:p5"), ("mono", "harmonic", "initial", "non-harmonic")),
+    }
+    for name, rows in expected.items():
+        spec = ExperimentSpec(
+            experiment=name, sets=(1,), seeds=(0,), methods=("3ls",),
+            limits=SweepLimits(time_limit=10, u_start=10, u_max=12))
+        files = run_experiment(spec, tmp_path / name)
+        with open(files["points"]) as fh:
+            got = list(csv.DictReader(fh))
+        for row in got:
+            del row["wall_s"]
+        assert got == rows, name
+
+
 def test_render_gantt():
     inst = _base()
     empty = render_gantt(inst, None)
@@ -113,8 +150,6 @@ def test_serialize_round_trip(tmp_path):
     sdata = schedule_to_dict(res.schedule)
     s2 = schedule_from_dict(json.loads(json.dumps(sdata)))
     assert s2 == res.schedule
-    csv_text = schedule_to_csv(_base(), res.schedule)
-    assert csv_text.startswith("activity,kind,resource,job,start,zj")
 
 
 def test_cli_end_to_end(tmp_path):

@@ -12,11 +12,11 @@ from subproblem_utils import brute_force_min_sum, random_subproblem
 from ttcosched import bench, generator, heuristic, search
 from ttcosched.bench import apply_mode
 from ttcosched.generator import GenParams
-from ttcosched.heuristic import (DomainStore, HeuristicConfig,
-                                 choose_unschedule, run_3ls, sub_model)
+from ttcosched.heuristic import (DomainStore, choose_unschedule, run_3ls,
+                                 sub_model)
 from ttcosched.intervals import IntervalSet
 from ttcosched.model import (Activity, Instance, Platform, PrecedenceDAG,
-                             derive_bounds)
+                             _job_window, derive_bounds)
 from ttcosched.validation import is_zero_jitter, validate
 
 
@@ -29,25 +29,21 @@ def test_window_two_period_matches_worked_example():
     inst = Instance(tuple(acts), plat, PrecedenceDAG(6, edges))
     bounds = derive_bounds(inst)
     assert bounds.before[4] == 4
-    store = DomainStore(inst, bounds, HeuristicConfig(two_period_domains=True))
+    store = DomainStore(inst, bounds)
     assert store.window(4, 1) == (4, 16)
-    literal = DomainStore(inst, bounds, HeuristicConfig(two_period_domains=False))
-    assert literal.window(4, 1) == (4, 7)
 
 
-def test_window_literal_formula():
+def test_window_ends_one_tick_before_the_model_window():
     plat = Platform(cores=1)
-    inst = Instance((Activity(0, "task", 10, 1, 50, 0),), plat, PrecedenceDAG(1))
-    bounds = derive_bounds(inst)
-    store = DomainStore(inst, bounds, HeuristicConfig(two_period_domains=False))
-    assert store.window(0, 1) == (0, 8)
-    # single-point window when execution fills the period
+    # execution fills the period: a job may start anywhere in its own period
     solo = Instance((Activity(0, "task", 10, 10, 50, 0),), plat, PrecedenceDAG(1))
-    b2 = derive_bounds(solo)
-    s2 = DomainStore(solo, b2, HeuristicConfig(two_period_domains=False))
-    assert s2.window(0, 1) == (0, -1)  # empty under the literal one-period form
-    s3 = DomainStore(solo, b2, HeuristicConfig(two_period_domains=True))
-    assert s3.window(0, 1) == (0, 9)
+    assert DomainStore(solo, derive_bounds(solo)).window(0, 1) == (0, 9)
+    inst, bounds = _running_example()
+    store = DomainStore(inst, bounds)
+    for a in inst.activities:
+        for j in range(1, bounds.jobs[a.id] + 1):
+            lo, hi = _job_window(a, bounds, j)
+            assert store.window(a.id, j) == (lo, hi - 1)
 
 
 def _running_example():
@@ -269,8 +265,7 @@ def test_domain_store_matches_row_oracle_under_random_edits():
         base = generator.generate(GenParams.from_set(set_id, 0))
         instances.append(apply_mode(generator.scale_to_utilization(base, u), mode))
     for inst in instances:
-        config = HeuristicConfig(two_period_domains=rng.random() < 0.7)
-        store = DomainStore(inst, derive_bounds(inst), config)
+        store = DomainStore(inst, derive_bounds(inst))
         for _step in range(80):
             pending = [x for x in range(inst.n) if x not in store.sched]
             roll = rng.random()
@@ -373,9 +368,8 @@ def test_single_placement_matches_the_engine_oracle(monkeypatch, set_id, mode):
     oracle's domains, and every job domain equals the row oracle's."""
     checked = []
 
-    def checked_sub_model(instance, bounds, store, a1, a2=None, config=None,
-                          time_limit=None):
-        got = sub_model(instance, bounds, store, a1, a2, config, time_limit)
+    def checked_sub_model(instance, bounds, store, a1, a2=None, time_limit=None):
+        got = sub_model(instance, bounds, store, a1, a2, time_limit)
         if a2 is None:
             want = row_domains(store, a1)
             assert store.domains(a1) == want, a1

@@ -8,23 +8,9 @@ def test_merge_and_canonical_form():
     assert s.intervals == [(1, 2), (4, 5)]
 
 
-def test_subtract_splits():
-    s = IntervalSet.span(4, 16).subtract(4, 4).subtract(6, 6)
-    assert s.intervals == [(5, 5), (7, 16)]
-    assert s.min() == 5 and s.max() == 16
-    assert s.count() == 1 + 10
-
-
-def test_subtract_edges():
-    s = IntervalSet.span(0, 10)
-    assert s.subtract(-5, -1).intervals == [(0, 10)]
-    assert s.subtract(11, 20).intervals == [(0, 10)]
-    assert s.subtract(0, 10).is_empty()
-    assert s.subtract(5, 20).intervals == [(0, 4)]
-
-
 def test_snap():
     s = IntervalSet([(5, 5), (7, 16)])
+    assert s.min() == 5 and s.max() == 16
     assert s.snap_ge(0) == 5
     assert s.snap_ge(5) == 5
     assert s.snap_ge(6) == 7
@@ -35,13 +21,7 @@ def test_snap():
     assert s.snap_le(4) is None
 
 
-def test_clip_and_contains():
+def test_contains_and_points():
     s = IntervalSet([(0, 3), (8, 12)])
-    assert s.clip(2, 9).intervals == [(2, 3), (8, 9)]
     assert 3 in s and 4 not in s and 8 in s
     assert list(IntervalSet([(1, 2), (9, 10)]).points()) == [1, 2, 9, 10]
-
-
-def test_shift():
-    s = IntervalSet([(0, 3)]).shift(100)
-    assert s.intervals == [(100, 103)]

@@ -26,7 +26,7 @@ def test_union_domain_snapping():
 def test_disjunction_orders_two_jobs():
     eng = Engine([IntervalSet.span(0, 1), IntervalSet.span(0, 1)])
     eng.add_disjunction(0, 1, 1, 1)
-    status, values, _ = eng.solve_feasible()
+    status, values, _ = eng.solve_feasible_limited()
     assert status == SAT
     assert sorted(values) == [0, 1]
 
@@ -35,7 +35,7 @@ def test_unsat_three_in_two_slots():
     eng = Engine([IntervalSet.span(0, 1)] * 3)
     for u, v in [(0, 1), (0, 2), (1, 2)]:
         eng.add_disjunction(u, v, 1, 1)
-    status, _, _ = eng.solve_feasible()
+    status, _, _ = eng.solve_feasible_limited()
     assert status == UNSAT
 
 
@@ -54,7 +54,7 @@ def test_infeasible_band():
     eng = Engine([IntervalSet.span(0, 1), IntervalSet([(9, 10)])])
     eng.add_arc(0, 1, 4)     # s1 >= s0 + 4
     eng.add_arc(1, 0, -6)    # s0 >= s1 - 6 -> s1 - s0 <= 6
-    status, _, _ = eng.solve_feasible()
+    status, _, _ = eng.solve_feasible_limited()
     assert status == UNSAT
 
 
@@ -125,7 +125,7 @@ def test_feasible_matches_brute_force_random():
             u, v = rng.sample(range(nv), 2)
             disjunctions.append((u, v, rng.randint(1, 4), rng.randint(1, 4)))
             eng.add_disjunction(*disjunctions[-1])
-        status, values, _ = eng.solve_feasible()
+        status, values, _ = eng.solve_feasible_limited()
         expected = _brute_min_sum(domains, arcs, disjunctions)
         assert (status == SAT) == (expected is not None), f"trial {trial}"
         if status == SAT:
@@ -151,7 +151,7 @@ def test_gapped_snap_raising_the_decided_tail_is_no_cycle():
                   IntervalSet([(0, 0), (5, 20)])])
     eng.add_arc(1, 0, -1)
     eng.add_disjunction(0, 1, 1, 100)
-    status, values, _ = eng.solve_feasible()
+    status, values, _ = eng.solve_feasible_limited()
     assert status == SAT and values == [10, 11]
 
 
@@ -166,7 +166,7 @@ def test_cycle_closing_decision_fails_without_going_round():
             # s_39 + 1 <= s_0 closes a positive cycle; the other side
             # leaves every domain
             eng.add_disjunction(n - 1, 0, 1, 10**7)
-        return eng.solve_feasible()
+        return eng.solve_feasible_limited()
 
     status, _, alone = ring(False)
     assert status == SAT
@@ -185,7 +185,7 @@ def test_root_positive_cycle_trips_the_walk():
     for i in range(n - 1):
         eng.add_arc(i, i + 1, 0)
     eng.add_arc(n - 1, 0, 1)
-    status, _, stats = eng.solve_feasible()
+    status, _, stats = eng.solve_feasible_limited()
     assert status == UNSAT
     # the walk runs once 8 n changes have passed (looked at every 1024
     # changes), against 10**4 laps of a crawl to the end of the domain
@@ -223,7 +223,7 @@ def _repeated_side_engine(kind, k=40):
 @pytest.mark.parametrize("kind", ["cycle", "bound"])
 def test_a_failed_side_fails_again_without_propagating(kind):
     k = 40
-    status, _, stats = _repeated_side_engine(kind, k).solve_feasible()
+    status, _, stats = _repeated_side_engine(kind, k).solve_feasible_limited()
     assert status == UNSAT and stats.nodes == 7
     # the first failure costs about k bound changes; the nogood it leaves
     # fails the side the second time before any bound moves

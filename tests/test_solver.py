@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from oracle_utils import brute_force, fig1_witness, random_tiny_instance
+from ttcosched import solver
 from ttcosched.model import (Activity, Instance, Platform, PrecedenceDAG,
                              derive_bounds)
 from ttcosched.solver import (JC, ZJ, ModelInfeasible, build_model,
@@ -165,3 +167,12 @@ def test_solver_schedule_always_validates():
         res = solve_instance(inst, mode=JC, time_limit=30)
         if res.feasible:
             assert validate(inst, res.schedule).ok
+
+
+def test_solve_raises_when_its_schedule_fails_validation(monkeypatch):
+    model = build_model(fig1_witness(), mode=JC)
+    report = validate(model.instance, solve(model).schedule)
+    monkeypatch.setattr(solver, "validate",
+                        lambda *_: dataclasses.replace(report, ok=False))
+    with pytest.raises(RuntimeError, match="invalid schedule"):
+        solve(model)

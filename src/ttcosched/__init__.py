@@ -3,7 +3,7 @@
 from .model import (Activity, CycleError, DerivedBounds, Instance, Platform,
                     PrecedenceDAG, ShapeError, chain_bounds, derive_bounds,
                     hyper_period, inherited_jitter, job_count,
-                    jitter_critical, message_exec_time, worst_case_slack)
+                    message_exec_time, worst_case_slack)
 from .validation import (Schedule, ValidationReport, is_zero_jitter,
                          schedule_memory_bytes, utilization, validate)
 from .mapping import Mapping, derive_message_mapping, map_exact, map_greedy

@@ -102,9 +102,6 @@ class SweepResult:
     max_util: int                 # 0 when no point was feasible
     points: list[PointRecord] = field(default_factory=list)
     witnesses: dict[int, Schedule] = field(default_factory=dict)
-    # for exact sweeps: the constructive seed's own stop point, which equals
-    # the result of a standalone heuristic sweep over the same points
-    heuristic_max: int | None = None
 
 
 def solve_point(instance: Instance, method: str, mode: str,
@@ -137,17 +134,19 @@ def solve_point(instance: Instance, method: str, mode: str,
 def max_util_sweep(base: Instance, method: str, mode: str,
                    limits: SweepLimits | None = None,
                    witnesses: dict[int, Schedule] | None = None) -> SweepResult:
-    """Ascending 1%-step sweep, stopping at the first non-feasible point."""
+    """Ascending 1%-step sweep, stopping at the first non-feasible point.
+
+    The mode is applied once: jitter bounds depend on the periods alone, and
+    scaling changes only execution times.
+    """
     limits = limits or SweepLimits()
-    result = SweepResult(base.name, method, mode, max_util=0, heuristic_max=0)
+    result = SweepResult(base.name, method, mode, max_util=0)
+    moded = apply_mode(base, mode)
     u = limits.u_start
-    # valid as a standalone heuristic sweep result while every point up to
-    # the seed's first failure was decided by the seed itself
-    heuristic_alive = True
     while u <= limits.u_max:
         t0 = time.monotonic()
         try:
-            scaled = apply_mode(scale_to_utilization(base, u / 100.0), mode)
+            scaled = scale_to_utilization(moded, u / 100.0)
         except ScaleError:
             result.points.append(PointRecord(u, "scale-error", "none",
                                              time.monotonic() - t0))
@@ -156,16 +155,10 @@ def max_util_sweep(base: Instance, method: str, mode: str,
         witness = (witnesses or {}).get(u)
         if witness is not None and validate(scaled, witness).ok:
             feasible, status, schedule, source = True, FEASIBLE, witness, "witness"
-            heuristic_alive = False  # seed attempts no longer observed
         else:
             feasible, status, schedule, via_heuristic = solve_point(
                 scaled, method, mode, limits.time_limit)
             source = "heuristic" if via_heuristic else "search"
-            if heuristic_alive:
-                if via_heuristic:
-                    result.heuristic_max = u
-                else:
-                    heuristic_alive = False
         result.points.append(PointRecord(u, status, source,
                                          time.monotonic() - t0))
         if not feasible:

@@ -4,7 +4,7 @@ Activities (tasks on cores, messages on crossbar input ports) are scheduled
 non-preemptively with integer start times on a tick grid (default 1 us per
 tick).  This module holds the immutable instance model plus everything that
 can be derived from it before solving: hyper-period, job counts, precedence
-window bounds, worst-case slack and jitter criticality.
+window bounds, worst-case slack and inherited jitter.
 
 It also states, once, the three rules the exact model (``solver``) and the
 3-LS heuristic (``heuristic``) build their constraints from: a job's start
@@ -222,7 +222,6 @@ class DerivedBounds:
     after: tuple[int, ...]
     slack: tuple[int, ...]           # p - (before + after + e); may be negative
     inherited_jitter: tuple[int, ...]
-    jitter_critical: tuple[bool, ...]
 
     @property
     def total_jobs(self) -> int:
@@ -302,11 +301,6 @@ def worst_case_slack(activity: Activity, before: int, after: int) -> int:
     return activity.period - (before + after + activity.exec_time)
 
 
-def jitter_critical(activity: Activity, slack: int) -> bool:
-    """Whether the jitter constraint stays in the model: jit <= slack - 2."""
-    return activity.jitter <= slack - 2
-
-
 def inherited_jitter(activity: Activity, dag: PrecedenceDAG, jitters) -> int:
     """Tightest jitter bound over the activity and its transitive successors.
 
@@ -328,7 +322,6 @@ def derive_bounds(instance: Instance) -> DerivedBounds:
     slack = tuple(worst_case_slack(a, before[a.id], after[a.id]) for a in acts)
     jitters = [a.jitter for a in acts]
     inherited = tuple(inherited_jitter(a, instance.dag, jitters) for a in acts)
-    critical = tuple(jitter_critical(a, slack[a.id]) for a in acts)
     return DerivedBounds(
         hyper_period=hyper,
         jobs=jobs,
@@ -336,7 +329,6 @@ def derive_bounds(instance: Instance) -> DerivedBounds:
         after=tuple(after),
         slack=slack,
         inherited_jitter=inherited,
-        jitter_critical=critical,
     )
 
 

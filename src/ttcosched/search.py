@@ -76,7 +76,6 @@ class SearchStats:
     nodes: int = 0
     propagations: int = 0
     wall: float = 0.0
-    solutions: int = 0
 
 
 class Deadline(Exception):
@@ -444,7 +443,6 @@ class Engine:
                         continue
                     idx = self._first_violated(trail)
                     if idx is None:
-                        stats.solutions += 1
                         if not minimize:
                             best = list(self.lb)
                             break

@@ -7,21 +7,18 @@ Builds the constraint model over integer job start times in either mode:
 
 With ``improvements`` enabled the build (a) tightens variable bounds by the
 precedence-derived before/after sums, (b) drops resource pairs whose
-occupancy windows cannot overlap, (c) restricts zero-jitter pairs to the lcm
-of the two periods, and (d) keeps explicit jitter constraints only for
-jitter-critical activities.  None of these changes the set of feasible
-schedules, so verdicts match the plain model.
+occupancy windows cannot overlap and (c) restricts zero-jitter pairs to the
+lcm of the two periods.  In both settings (d) an activity's jitter band is
+kept only when its job windows are wider than its jitter: windows no wider
+than the jitter already keep every deviation from the period within it.
+None of these changes the set of feasible schedules, so verdicts match the
+plain model.
 
 The job windows, the resource pairs and the arcs among an activity's own
-jobs come from the rules in ``model`` that 3-LS uses too.  The jitter rule
-lives in ``model._job_arcs``: the native search keeps the jitter band of
-every activity whose job windows are wider than its jitter, also when
-improvement (d) left the activity out of ``jitter_kept``, because the
-dropped rows are only redundant within one-period windows while the
-variables range over two periods.  This keeps every returned schedule
-consistent with the independent validator.  The exports still write
-jitter rows for ``jitter_kept`` only, so the model they carry can be looser
-than the one the native search solves.
+jobs come from the rules in ``model`` that 3-LS uses too.  A built model
+holds its constraints once: the difference arcs ``arcs`` and the resource
+disjunctions ``pairs``.  The native search and both exports read exactly
+these lists.
 """
 
 from __future__ import annotations
@@ -81,8 +78,7 @@ class BuiltModel:
     job_vars: list[JobVar]
     var_of: dict[tuple[int, int], int]
     pairs: list[OrderingPair]
-    prec_arcs: list[tuple[int, int, int, str]]  # (u, v, c, kind)
-    jitter_kept: list[int]       # activities whose jitter rows stay in the model
+    arcs: list[tuple[int, int, int]]  # (u, v, c): s_v >= s_u + c
 
     def var_expr(self, act: int, job: int) -> tuple[int, int]:
         """(variable index, constant offset) for the start of job ``job``."""
@@ -112,7 +108,7 @@ def build_model(instance: Instance, bounds: DerivedBounds | None = None,
     acts = instance.activities
     model = BuiltModel(instance=instance, bounds=bounds, mode=mode,
                        improvements=improvements, job_vars=[], var_of={},
-                       pairs=[], prec_arcs=[], jitter_kept=[])
+                       pairs=[], arcs=[])
     job_vars, var_of = model.job_vars, model.var_of
 
     windows = [[_job_window(a, bounds, j, improvements)
@@ -151,22 +147,19 @@ def build_model(instance: Instance, bounds: DerivedBounds | None = None,
                         wrap=bool(shift),
                         jobs=((i, j), (l, k))))
 
-    prec_arcs = model.prec_arcs
+    arcs = model.arcs
     for i, l in sorted(instance.dag.edges):
         e_i = acts[i].exec_time
         if mode == ZJ:
-            prec_arcs.append((var_of[(i, 1)], var_of[(l, 1)], e_i, "dag"))
+            arcs.append((var_of[(i, 1)], var_of[(l, 1)], e_i))
         else:
             for j in range(1, bounds.jobs[i] + 1):
-                prec_arcs.append((var_of[(i, j)], var_of[(l, j)], e_i, "dag"))
+                arcs.append((var_of[(i, j)], var_of[(l, j)], e_i))
     if mode == JC:
         for a in acts:
             first = var_of[(a.id, 1)]
-            prec_arcs += [(first + j, first + k, c, "self" if k > j else "self_wrap")
-                          for j, k, c in _job_arcs(a, bounds, 0)]
-            if bounds.jobs[a.id] >= 2 and (
-                    not improvements or bounds.jitter_critical[a.id]):
-                model.jitter_kept.append(a.id)
+            arcs += [(first + j, first + k, c) for j, k, c in
+                     _job_arcs(a, bounds, job_vars[first].width)]
     return model
 
 
@@ -196,15 +189,8 @@ def _pair_sort_key(model: BuiltModel):
 
 def _make_engine(model: BuiltModel, pairs) -> Engine:
     engine = Engine([IntervalSet.span(v.lb, v.ub) for v in model.job_vars])
-    for u, v, c, kind in model.prec_arcs:
-        if kind == "dag":
-            engine.add_arc(u, v, c)
-    if model.mode == JC:
-        for a in model.instance.activities:
-            first = model.var_of[(a.id, 1)]
-            width = model.job_vars[first].width
-            for j, k, c in _job_arcs(a, model.bounds, width):
-                engine.add_arc(first + j, first + k, c)
+    for u, v, c in model.arcs:
+        engine.add_arc(u, v, c)
     for pair in pairs:
         engine.add_disjunction(pair.u, pair.v, pair.a, pair.b)
     return engine

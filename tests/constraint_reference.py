@@ -1,14 +1,15 @@
 """The constraint lists the exact engine and the 3-LS pair search had before
 both took their rules from ``model``, kept as references.
 
-``make_engine`` is the former ``solver._make_engine``: the model's self arcs
-and, for every activity whose job windows are wider than its jitter, the
-jitter arcs of ``_jitter_arcs``, each added on its own.  ``pair_sub_model``
-is the former pair branch of ``heuristic.sub_model``: every grid pair of
-jobs whose domain spans meet, and both hyper-period wrap pairs, whether
-their spans meet or not, over the arcs of the former ``_job_arcs``.  The
-code is the former code, but for ``jitter_enforced``, which ``build_model``
-kept as a list, and the pair search's node limit, now a constant.
+``make_engine`` is the former ``solver._make_engine``: the DAG arcs and the
+self arcs of ``_precedence_arcs`` and, for every activity whose job windows
+are wider than its jitter, the jitter arcs of ``_jitter_arcs``, each added
+on its own.  ``pair_sub_model`` is the former pair branch of
+``heuristic.sub_model``: every grid pair of jobs whose domain spans meet,
+and both hyper-period wrap pairs, whether their spans meet or not, over the
+arcs of the former ``_job_arcs``.  The code is the former code, but for
+``jitter_enforced`` and ``_precedence_arcs``, which ``build_model`` kept as
+lists, and the pair search's node limit, now a constant.
 """
 
 from __future__ import annotations
@@ -51,9 +52,32 @@ def _jitter_arcs(model, act: int):
     return arcs
 
 
+def _precedence_arcs(model):
+    """The DAG arcs, then in JC mode each activity's self arcs
+    s_{j+1} >= s_j + e with their wrap s_1 + H >= s_n + e."""
+    acts = model.instance.activities
+    var_of = model.var_of
+    arcs = []
+    for i, l in sorted(model.instance.dag.edges):
+        jobs = 1 if model.mode != JC else model.bounds.jobs[i]
+        arcs += [(var_of[(i, j)], var_of[(l, j)], acts[i].exec_time)
+                 for j in range(1, jobs + 1)]
+    if model.mode == JC:
+        hyper = model.bounds.hyper_period
+        for a in acts:
+            n = model.bounds.jobs[a.id]
+            if n < 2:
+                continue
+            e = a.exec_time
+            arcs += [(var_of[(a.id, j)], var_of[(a.id, j + 1)], e)
+                     for j in range(1, n)]
+            arcs.append((var_of[(a.id, n)], var_of[(a.id, 1)], e - hyper))
+    return arcs
+
+
 def make_engine(model, pairs) -> Engine:
     engine = Engine([IntervalSet.span(v.lb, v.ub) for v in model.job_vars])
-    for u, v, c, _kind in model.prec_arcs:
+    for u, v, c in _precedence_arcs(model):
         engine.add_arc(u, v, c)
     for act in jitter_enforced(model):
         for u, v, c in _jitter_arcs(model, act):

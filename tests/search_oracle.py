@@ -257,7 +257,6 @@ class Engine:
                         continue
                     idx = self._first_violated()
                     if idx is None:
-                        stats.solutions += 1
                         if not minimize:
                             best = list(self.lb)
                             break

@@ -7,7 +7,7 @@ from ttcosched.bench import (ExperimentSpec, SweepLimits, apply_mode,
                              apply_zj_fraction, max_util_sweep,
                              rewrite_periods, run_experiment)
 from ttcosched.gantt import render_gantt
-from ttcosched.generator import GenParams, generate
+from ttcosched.generator import GenParams, generate, scale_to_utilization
 from ttcosched.model import Activity, Instance, Platform, PrecedenceDAG
 from ttcosched.serialize import (instance_from_dict, instance_to_dict,
                                  load_instance, load_schedule, save_instance,
@@ -30,6 +30,18 @@ def test_apply_mode():
     assert [a.jitter for a in jc.activities] == [200, 300]
     half = apply_mode(inst, "jc:p2")
     assert [a.jitter for a in half.activities] == [500, 750]
+
+
+def test_applying_the_mode_before_scaling_gives_the_same_instances():
+    # max_util_sweep applies the mode once and scales per point; jitter
+    # bounds depend on the periods alone, which scaling keeps
+    for set_id in (1, 2):
+        base = generate(GenParams.from_set(set_id, 0))
+        for mode in ("zj", "jc:p5", "jc:frac50"):
+            moded = apply_mode(base, mode)
+            for u in (0.1, 0.4, 0.7):
+                assert (scale_to_utilization(moded, u).activities
+                        == apply_mode(scale_to_utilization(base, u), mode).activities)
 
 
 def test_apply_zj_fraction():

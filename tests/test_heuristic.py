@@ -332,10 +332,10 @@ def test_run_3ls_raises_when_its_schedule_fails_validation(monkeypatch):
 
 
 def test_sub_model_jitter_guard_blocks_invalid_greedy():
-    # non-critical by the slack rule, yet the window leaves room to exceed
-    # the bound: the sub-model must still respect the validator's jitter
+    # the job windows, 19 wide, leave room to exceed the jitter bound 7:
+    # the sub-model must still respect the validator's jitter
     plat = Platform(cores=1)
-    acts = (Activity(0, "task", 10, 1, 7, 0),   # I = 9, jit 7 >= I-1? 7 < 8: critical edge
+    acts = (Activity(0, "task", 10, 1, 7, 0),
             Activity(1, "task", 20, 9, 50, 0))
     inst = Instance(acts, plat, PrecedenceDAG(2))
     schedule, _ = run_3ls(inst)

@@ -5,8 +5,8 @@ import pytest
 from ttcosched.model import (Activity, CycleError, Instance, Platform,
                              PrecedenceDAG, chain_bounds, derive_bounds,
                              hyper_period, inherited_jitter, job_count,
-                             jitter_critical, longest_path_bounds,
-                             message_exec_time, worst_case_slack)
+                             longest_path_bounds, message_exec_time,
+                             worst_case_slack)
 
 
 def test_hyper_period():
@@ -91,12 +91,6 @@ def test_worst_case_slack():
     assert worst_case_slack(b, 0, 0) == 0
     c = Activity(0, "task", 5, 2, 0, 0)
     assert worst_case_slack(c, 3, 2) == -2  # reported, not raised
-
-
-def test_jitter_critical():
-    assert jitter_critical(Activity(0, "task", 10, 1, 2, 0), 4)
-    assert not jitter_critical(Activity(0, "task", 10, 1, 3, 0), 4)
-    assert jitter_critical(Activity(0, "task", 10, 1, 0, 0), 2)
 
 
 def test_inherited_jitter():

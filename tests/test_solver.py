@@ -80,21 +80,29 @@ def test_zj_lcm_pair_count():
     assert len(model.job_vars) == 2
 
 
-def test_jitter_kept_boundary():
-    # single unconstrained activity: slack I = p - e = 8
+def test_jitter_band_arcs_follow_the_window_width():
+    # activity 0 (p 10, e 2) runs after activity 1 (e 3) on its core, so its
+    # job windows are [3, 18] and [13, 28], 15 wide, or 18 wide without the
+    # before/after sums; activity 2 stretches H to two periods
     plat = Platform(cores=2)
 
-    def inst(jit):
-        return Instance((Activity(0, "task", 10, 2, jit, 0),
-                         Activity(1, "task", 20, 1, 100, 1)),
-                        plat, PrecedenceDAG(2))
+    def own_arcs(jit, improvements=True):
+        inst = Instance((Activity(0, "task", 10, 2, jit, 0),
+                         Activity(1, "task", 10, 3, 100, 0),
+                         Activity(2, "task", 20, 1, 100, 1)),
+                        plat, PrecedenceDAG(3, [(1, 0)]))
+        model = build_model(inst, mode=JC, improvements=improvements)
+        own = {model.var_of[(0, 1)], model.var_of[(0, 2)]}
+        return [(u, v, c) for u, v, c in model.arcs if {u, v} <= own]
 
-    kept = build_model(inst(6), mode=JC).jitter_kept
-    assert kept == [0]          # jit = I - 2: constraint stays
-    kept = build_model(inst(7), mode=JC).jitter_kept
-    assert kept == []           # jit = I - 1: omitted
-    kept = build_model(inst(7), mode=JC, improvements=False).jitter_kept
-    assert kept == [0]          # improvements off keep everything
+    u, v = 0, 1    # the variables of activity 0's jobs
+    self_arcs = [(u, v, 2), (v, u, 2 - 20)]
+    # jit = width - 1: the band's arcs; its forward arc is merged into the
+    # self arc, of weight max(e, p - jit)
+    assert own_arcs(14) == self_arcs + [(u, v, 20 - 10 - 14), (v, u, -(10 + 14))]
+    assert own_arcs(15) == self_arcs          # jit = width: no band
+    assert own_arcs(15, improvements=False)[2:] == [(u, v, -5), (v, u, -25)]
+    assert own_arcs(18, improvements=False) == self_arcs
 
 
 def test_motivating_example_verdicts():

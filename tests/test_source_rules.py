@@ -57,3 +57,34 @@ def test_every_public_function_has_a_caller_in_the_program():
         if not uses:
             uncalled.append(f"{path.name}:{qualname}")
     assert uncalled == []
+
+
+# Dataclass fields that only tests and the benchmark read, each with its reader.
+READ_OUTSIDE_THE_PROGRAM = {
+    "HeuristicStats.unschedules",        # perfbench/workloads.py, test_heuristic.py
+    "ValidationReport.observed_jitter",  # test_validation.py
+    "ValidationReport.chain_latency",    # test_validation.py
+}
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read_in_the_program():
+    # a field that no attribute read in the source touches is written and
+    # never used; ``stats.n += 1`` stores the attribute, it does not read it
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(SOURCE.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.name}.{stmt.target.id}"
+              for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              and any(_is_dataclass(d) for d in cls.decorator_list)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in read]
+    assert sorted(unread) == sorted(READ_OUTSIDE_THE_PROGRAM)

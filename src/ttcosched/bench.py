@@ -36,8 +36,6 @@ ZJ_FRACTION_MODES = tuple(f"jc:frac{p}" for p in range(100, -1, -5))
 
 
 def jitter_for(policy: str, period: int) -> int:
-    if policy == "zero":
-        return 0
     if policy.startswith("p") and policy[1:].isdigit():
         return period // int(policy[1:])
     raise ValueError(f"unknown jitter policy {policy!r}")
@@ -55,13 +53,12 @@ def apply_mode(instance: Instance, mode: str) -> Instance:
     return instance.with_jitter(lambda a: jitter_for(policy, a.period))
 
 
-def apply_zj_fraction(instance: Instance, percent: int,
-                      base_policy: str = "p5") -> Instance:
+def apply_zj_fraction(instance: Instance, percent: int) -> Instance:
     """Force jit=0 on activities covering >= percent of all jobs.
 
-    Activities are selected by descending job count; the rest get the base
-    jitter policy.  This mirrors the memory-versus-utilization study where
-    the share of zero-jitter jobs is swept in 5% steps.
+    Activities are selected by descending job count; the rest get jitter
+    period/5, as under ``jc:p5``.  This mirrors the memory-versus-utilization
+    study where the share of zero-jitter jobs is swept in 5% steps.
     """
     hyper = instance.hyper_period()
     jobs = {a.id: hyper // a.period for a in instance.activities}
@@ -76,7 +73,7 @@ def apply_zj_fraction(instance: Instance, percent: int,
         acc += jobs[aid]
     return instance.with_jitter(
         lambda a: 0 if a.id in chosen
-        else jitter_for(base_policy, a.period))
+        else jitter_for("p5", a.period))
 
 
 @dataclass
@@ -175,7 +172,6 @@ class ExperimentSpec:
     sets: tuple[int, ...] = (1,)            # period-study | ems
     seeds: tuple[int, ...] = (0,)
     methods: tuple[str, ...] = (EXACT,)
-    jitter_modes: tuple[str, ...] = JITTER_SWEEP_MODES
     limits: SweepLimits = field(default_factory=SweepLimits)
 
 
@@ -225,7 +221,7 @@ def run_experiment(spec: ExperimentSpec, outdir) -> dict[str, Path]:
         return _run_ems(spec, outdir)
     # (period variant or None, the modes swept tightest-first)
     if spec.experiment == "jitter-sweep":
-        variants = [(None, spec.jitter_modes)]
+        variants = [(None, JITTER_SWEEP_MODES)]
     elif spec.experiment == "zj-fraction-sweep":
         variants = [(None, ZJ_FRACTION_MODES)]
     elif spec.experiment == "period-study":

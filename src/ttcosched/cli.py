@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bench, export, generator, mapping, serialize
+from . import bench, export, gantt, generator, mapping, serialize
 from .heuristic import run_3ls
 from .solver import FEASIBLE, INFEASIBLE, JC, TIMED_OUT, ZJ, build_model, solve_instance
 from .validation import validate
@@ -60,14 +60,13 @@ def cmd_solve(args) -> int:
     if args.jit:
         inst = bench.apply_mode(inst, args.jit)
     if args.method == "exact":
-        mode = ZJ if args.mode == "zj" else JC
-        res = solve_instance(inst, mode=mode,
+        res = solve_instance(inst, mode=args.mode,
                              improvements=not args.no_improvements,
                              time_limit=args.time_limit)
         status, schedule = res.status, res.schedule
         print(f"{status} nodes={res.stats.nodes} wall={res.stats.wall:.2f}s")
     else:
-        work = bench.apply_mode(inst, "zj") if args.mode == "zj" else inst
+        work = bench.apply_mode(inst, ZJ) if args.mode == ZJ else inst
         schedule, stats = run_3ls(work, time_limit=args.time_limit)
         status = FEASIBLE if schedule else (
             TIMED_OUT if stats.status == "timeout" else INFEASIBLE)
@@ -126,8 +125,7 @@ def cmd_export(args) -> int:
     inst = serialize.load_instance(args.input)
     if args.jit:
         inst = bench.apply_mode(inst, args.jit)
-    mode = ZJ if args.mode == "zj" else JC
-    model = build_model(inst, mode=mode,
+    model = build_model(inst, mode=args.mode,
                         improvements=not args.no_improvements)
     text = (export.export_smtlib(model) if args.format == "smt2"
             else export.export_lp(model))
@@ -137,10 +135,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_gantt(args) -> int:
-    from .gantt import render_gantt
     inst = serialize.load_instance(args.input)
     sched = serialize.load_schedule(args.schedule) if args.schedule else None
-    Path(args.output).write_text(render_gantt(inst, sched))
+    Path(args.output).write_text(gantt.render_gantt(inst, sched))
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -173,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="find a schedule")
     s.add_argument("-i", "--input", required=True)
     s.add_argument("--method", default="exact", choices=["exact", "3ls"])
-    s.add_argument("--mode", default="jc", choices=["zj", "jc"])
+    s.add_argument("--mode", default=JC, choices=[ZJ, JC])
     s.add_argument("--jit", default="", help="override jitter, e.g. jc:p5")
     s.add_argument("--time-limit", type=float, default=3000.0)
     s.add_argument("--no-improvements", action="store_true")
@@ -209,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("export", help="write SMT-LIB2 or LP text")
     x.add_argument("-i", "--input", required=True)
     x.add_argument("--format", required=True, choices=["smt2", "lp"])
-    x.add_argument("--mode", default="jc", choices=["zj", "jc"])
+    x.add_argument("--mode", default=JC, choices=[ZJ, JC])
     x.add_argument("--jit", default="")
     x.add_argument("--no-improvements", action="store_true")
     x.add_argument("-o", "--output", required=True)
@@ -229,7 +226,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (serialize.InputError, generator.ParamError, generator.ScaleError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,6 +9,7 @@ LANE_H = 34
 BAR_H = 24
 LABEL_W = 90
 TOP = 28
+WIDTH = 1000
 
 
 def _color(act_id: int) -> str:
@@ -16,14 +17,13 @@ def _color(act_id: int) -> str:
     return f"hsl({hue},65%,60%)"
 
 
-def render_gantt(instance: Instance, schedule: Schedule | None = None,
-                 width: int = 1000) -> str:
+def render_gantt(instance: Instance, schedule: Schedule | None = None) -> str:
     hyper = instance.hyper_period()
     m = instance.platform.resources
     height = TOP + m * LANE_H + 8
-    scale = (width - LABEL_W - 10) / hyper
+    scale = (WIDTH - LABEL_W - 10) / hyper
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{height}" font-family="monospace" font-size="11">',
         f'<text x="4" y="16">{instance.name}  H={hyper}</text>',
     ]

@@ -1,20 +1,22 @@
 """Synthetic benchmark instances.
 
 Five parameter sets mirror the published generator table (task counts 20 to
-500, period menus in ms, variable accesses and chain budgets); execution
-times and variable sizes use configurable distributions since the original
-tool's internals are not public, and per-resource utilisation scaling makes
-the absolute magnitudes immaterial to the experiments.  The engine-management
-case study builds a 2000-task instance with automotive period shares, a
-100 ms folded hyper-period and instruction-count execution times at three
-cycles per instruction.
+500, period menus in ms, variable accesses and chain budgets).  Execution
+times and variable sizes are drawn log-uniformly from fixed ranges and every
+activity gets jitter period/5.  These are constants, not settings: the
+original tool's internals are not public, and every experiment rescales the
+execution times to its per-resource utilisation target and sets jitter by
+its mode, so their absolute magnitudes are immaterial.  The
+engine-management case study builds a 2000-task instance with automotive
+period shares, a 100 ms folded hyper-period and instruction-count execution
+times at three cycles per instruction.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .mapping import map_greedy
@@ -37,6 +39,12 @@ COMM_PROB = {1: 0.24, 2: 0.18, 3: 0.31, 4: 0.28, 5: 0.41}
 ACTIVITY_RANGES = {1: (30, 45), 2: (50, 65), 3: (90, 130),
                    4: (180, 250), 5: (1500, 2000)}
 
+CORES = 3
+EXEC_RANGE_US = (5, 500)
+SIZE_RANGE_BYTES = (4, 4096)
+JITTER_DIVISOR = 5  # jit = p/5 until the bench layer applies a mode
+SCALE_TOLERANCE = Fraction(1, 100)
+
 
 class ParamError(ValueError):
     pass
@@ -48,69 +56,83 @@ class ScaleError(ValueError):
 
 @dataclass
 class GenParams:
+    """A published parameter set and a seed.  ``SET_TABLE`` and
+    ``COMM_PROB`` give the set's task count, period menu, accesses, chains
+    and share of communicating accesses; the rest is fixed above."""
+
     set_id: int
-    tasks: int
-    periods_ms: tuple[int, ...]
-    accesses_per_task: int
-    chains: int
     seed: int = 0
-    cores: int = 3
-    comm_prob: float = 0.3
-    exec_range_us: tuple[int, int] = (5, 500)
-    size_range_bytes: tuple[int, int] = (4, 4096)
-    jitter_divisor: int = 5  # default jit = p/5; swept by the bench layer
 
     @classmethod
-    def from_set(cls, set_id: int, seed: int = 0, **overrides) -> "GenParams":
+    def from_set(cls, set_id: int, seed: int = 0) -> "GenParams":
         if set_id not in SET_TABLE:
             raise ParamError(f"unknown set id {set_id}")
-        tasks, periods, accesses, chains = SET_TABLE[set_id]
-        params = cls(set_id=set_id, tasks=tasks, periods_ms=periods,
-                     accesses_per_task=accesses, chains=chains, seed=seed,
-                     comm_prob=COMM_PROB[set_id])
-        for k, v in overrides.items():
-            if not hasattr(params, k):
-                raise ParamError(f"unknown parameter {k!r}")
-            setattr(params, k, v)
-        return params
+        return cls(set_id, seed)
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def _build_instance(task_specs, accesses, chain_tasks, platform, name,
-                    jitter_divisor):
-    """Assemble activities, materialising messages for cross-core accesses.
+def _period_pools(periods: list[int]) -> list[list[int]]:
+    """Task ids by period, in order of first appearance, for each period
+    that at least two tasks share."""
+    by_period: dict[int, list[int]] = {}
+    for tid, p in enumerate(periods):
+        by_period.setdefault(p, []).append(tid)
+    return [g for g in by_period.values() if len(g) >= 2]
 
-    task_specs: list of (period, exec, core); accesses: list of
-    (writer, reader, size, in_chain); chain_tasks: list of task-id tuples.
+
+def _draw_chain(rng: random.Random, pool: list[int]) -> tuple[int, ...]:
+    length = rng.randint(2, min(11, len(pool)))
+    return tuple(sorted(rng.sample(pool, length)))
+
+
+def _chain_accesses(chain_tasks, draw_size) -> list[tuple[int, int, int, bool]]:
+    """One in-chain access per distinct consecutive pair, sized in order."""
+    accesses = []
+    seen = set()
+    for chain in chain_tasks:
+        for wa, wb in zip(chain, chain[1:]):
+            if (wa, wb) not in seen:
+                seen.add((wa, wb))
+                accesses.append((wa, wb, draw_size(), True))
+    return accesses
+
+
+def _other_task(rng: random.Random, n_tasks: int, tid: int) -> int:
+    other = rng.randrange(n_tasks - 1)
+    return other + 1 if other >= tid else other
+
+
+def _build_instance(periods, execs, accesses, chain_tasks, platform, name):
+    """Map the tasks greedily to cores and assemble the activities,
+    materialising messages for cross-core accesses.
+
+    accesses: list of (writer, reader, size, in_chain); chain_tasks: list of
+    task-id tuples.
     """
-    acts: list[Activity] = []
-    for tid, (p, e, core) in enumerate(task_specs):
-        jit = p // jitter_divisor if jitter_divisor else 0
-        acts.append(Activity(id=tid, kind=TASK, period=p, exec_time=e,
-                             jitter=jit, resource=core))
+    utils = [Fraction(e, p) for e, p in zip(execs, periods)]
+    cores = map_greedy(utils, platform.cores).assignment
+    acts = [Activity(id=tid, kind=TASK, period=p, exec_time=e,
+                     jitter=p // JITTER_DIVISOR, resource=core)
+            for tid, (p, e, core) in enumerate(zip(periods, execs, cores))]
     edges: set[tuple[int, int]] = set()
     link: dict[tuple[int, int], int] = {}  # (writer, reader) -> hop activity
     for writer, reader, size, in_chain in accesses:
-        src_core = task_specs[writer][2]
-        dst_core = task_specs[reader][2]
-        if src_core == dst_core:
+        if cores[writer] == cores[reader]:
             if in_chain:
                 edges.add((writer, reader))
                 link[(writer, reader)] = reader
             continue
         if in_chain and (writer, reader) in link:
             continue
-        p = task_specs[writer][0]
+        p = periods[writer]
         mid = len(acts)
-        e = message_exec_time(size, platform)
-        if e > p:
-            e = p
-        jit = p // jitter_divisor if jitter_divisor else 0
-        acts.append(Activity(id=mid, kind=MESSAGE, period=p, exec_time=e,
-                             jitter=jit, resource=platform.port_of(dst_core),
+        acts.append(Activity(id=mid, kind=MESSAGE, period=p,
+                             exec_time=min(p, message_exec_time(size, platform)),
+                             jitter=p // JITTER_DIVISOR,
+                             resource=platform.port_of(cores[reader]),
                              size=size, sender=writer, receiver=reader))
         if in_chain:
             edges.add((writer, mid))
@@ -135,55 +157,32 @@ def _build_instance(task_specs, accesses, chain_tasks, platform, name,
 def generate(params: GenParams) -> Instance:
     """One synthetic instance; byte-identical for a fixed seed."""
     rng = random.Random(("ttcosched", params.set_id, params.seed).__repr__())
-    platform = Platform(cores=params.cores)
-    periods = [1000 * rng.choice(params.periods_ms) for _ in range(params.tasks)]
-    lo, hi = params.exec_range_us
-    execs = [max(1, min(p, round(_log_uniform(rng, lo, hi))))
+    n_tasks, menu, accesses_per_task, n_chains = SET_TABLE[params.set_id]
+    periods = [1000 * rng.choice(menu) for _ in range(n_tasks)]
+    execs = [max(1, min(p, round(_log_uniform(rng, *EXEC_RANGE_US))))
              for p in periods]
 
-    utils = [Fraction(e, p) for e, p in zip(execs, periods)]
-    task_cores = map_greedy(utils, params.cores).assignment
-    task_specs = list(zip(periods, execs, task_cores))
+    # spread chains across period pools and bias lengths short, so merged
+    # chains do not pile mandatory execution onto one period
+    pools = sorted(_period_pools(periods), key=lambda g: -len(g))
+    chain_tasks = [_draw_chain(rng, pools[c % len(pools)])
+                   for c in range(n_chains if pools else 0)]
 
-    by_period: dict[int, list[int]] = {}
-    for tid, p in enumerate(periods):
-        by_period.setdefault(p, []).append(tid)
-    groups = sorted((g for g in by_period.values() if len(g) >= 2),
-                    key=lambda g: -len(g))
-    chain_tasks = []
-    if groups:
-        # spread chains across period pools and bias lengths short, so merged
-        # chains do not pile mandatory execution onto one period
-        for c in range(params.chains):
-            group = groups[c % len(groups)]
-            length = rng.randint(2, min(11, len(group)))
-            chain_tasks.append(tuple(sorted(rng.sample(group, length))))
+    def draw_size():
+        return round(_log_uniform(rng, *SIZE_RANGE_BYTES))
 
-    slo, shi = params.size_range_bytes
-    accesses = []
-    seen_chain_pairs = set()
-    for chain in chain_tasks:
-        for wa, wb in zip(chain, chain[1:]):
-            if (wa, wb) in seen_chain_pairs:
-                continue
-            seen_chain_pairs.add((wa, wb))
-            size = round(_log_uniform(rng, slo, shi))
-            accesses.append((wa, wb, size, True))
-    # exactly comm_prob of the access budget reaches another task; the rest
-    # stay local and never appear on an input port
-    slots = [(tid, k) for tid in range(params.tasks)
-             for k in range(params.accesses_per_task)]
-    k_comm = round(len(slots) * params.comm_prob)
+    accesses = _chain_accesses(chain_tasks, draw_size)
+    # exactly the set's share of the access budget reaches another task; the
+    # rest stay local and never appear on an input port
+    slots = [(tid, k) for tid in range(n_tasks) for k in range(accesses_per_task)]
+    k_comm = round(len(slots) * COMM_PROB[params.set_id])
     for tid, _k in sorted(rng.sample(slots, k_comm)):
-        other = rng.randrange(params.tasks - 1)
-        if other >= tid:
-            other += 1
-        size = round(_log_uniform(rng, slo, shi))
-        accesses.append((tid, other, size, False))
+        other = _other_task(rng, n_tasks, tid)
+        accesses.append((tid, other, draw_size(), False))
 
-    name = f"set{params.set_id}-seed{params.seed}"
-    return _build_instance(task_specs, accesses, chain_tasks, platform, name,
-                           params.jitter_divisor)
+    return _build_instance(periods, execs, accesses, chain_tasks,
+                           Platform(cores=CORES),
+                           f"set{params.set_id}-seed{params.seed}")
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -192,19 +191,17 @@ def _round_half_even(num: int, den: int) -> int:
     return q + (2 * r > den or (2 * r == den and q % 2 == 1))
 
 
-def scale_to_utilization(instance: Instance, target: float,
-                         tol: float = 0.01) -> Instance:
+def scale_to_utilization(instance: Instance, target: float) -> Instance:
     """Rescale execution times so every non-empty resource hits ``target``.
 
     Rounds to whole ticks (>= 1, <= period, half to even) and then nudges
     individual activities, the longest period first, until each resource is
-    within ``tol`` of the target.  A resource's load is kept exactly, as an
-    integer number of ticks over the lcm of its periods.
+    within ``SCALE_TOLERANCE`` (1%) of the target.  A resource's load is kept
+    exactly, as an integer number of ticks over the lcm of its periods.
     """
     if not 0 < target <= 1:
         raise ScaleError(f"target utilization {target} not in (0, 1]")
     target_f = Fraction(target).limit_denominator(10**6)
-    tol_f = Fraction(tol).limit_denominator(10**6)
     acts = list(instance.activities)
     by_resource: dict[int, list[Activity]] = {}
     for a in acts:
@@ -224,11 +221,11 @@ def scale_to_utilization(instance: Instance, target: float,
         # (load - target) * span * target's denominator, and its allowance
         excess = (sum(e * w for e, w in zip(new_e, weight))
                   * target_f.denominator - target_f.numerator * span)
-        allowed = tol_f.numerator * span * target_f.denominator
+        allowed = SCALE_TOLERANCE.numerator * span * target_f.denominator
         order = sorted(range(len(members)),
                        key=lambda k: (-members[k].period, members[k].id))
         guard = 0
-        while abs(excess) * tol_f.denominator > allowed:
+        while abs(excess) * SCALE_TOLERANCE.denominator > allowed:
             guard += 1
             if guard > 100_000:
                 raise ScaleError(f"resource {res}: cannot reach {target}")
@@ -292,33 +289,19 @@ def ems_case_study(seed: int = 0) -> Instance:
         achieved = sum(e / p for e, p in zip(execs, periods))
         scale *= target_total / achieved
 
-    utils = [Fraction(e, p) for e, p in zip(execs, periods)]
-    task_cores = map_greedy(utils, platform.cores).assignment
-    task_specs = list(zip(periods, execs, task_cores))
+    pools = _period_pools(periods)
+    pool_weights = [len(g) for g in pools]
+    chain_tasks = [_draw_chain(rng, rng.choices(pools, weights=pool_weights)[0])
+                   for _ in range(60)]
 
-    by_period: dict[int, list[int]] = {}
-    for tid, p in enumerate(periods):
-        by_period.setdefault(p, []).append(tid)
-    groups = [g for g in by_period.values() if len(g) >= 2]
-    chain_tasks = []
-    for _ in range(60):
-        group = rng.choices(groups, weights=[len(g) for g in groups])[0]
-        length = rng.randint(2, min(11, len(group)))
-        chain_tasks.append(tuple(sorted(rng.sample(group, length))))
+    def draw_size():
+        return rng.randint(1, 350)
 
-    accesses = []
-    seen = set()
-    for chain in chain_tasks:
-        for wa, wb in zip(chain, chain[1:]):
-            if (wa, wb) not in seen:
-                seen.add((wa, wb))
-                accesses.append((wa, wb, rng.randint(1, 350), True))
+    accesses = _chain_accesses(chain_tasks, draw_size)
     for tid in range(n_tasks):
         for _ in range(rng.randint(1, 12)):
-            other = rng.randrange(n_tasks - 1)
-            if other >= tid:
-                other += 1
-            accesses.append((tid, other, rng.randint(1, 350), False))
+            other = _other_task(rng, n_tasks, tid)
+            accesses.append((tid, other, draw_size(), False))
 
-    return _build_instance(task_specs, accesses, chain_tasks, platform,
-                           f"ems-seed{seed}", jitter_divisor=5)
+    return _build_instance(periods, execs, accesses, chain_tasks, platform,
+                           f"ems-seed{seed}")

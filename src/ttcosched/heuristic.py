@@ -5,8 +5,9 @@ sub-model that minimises the sum of its job start times over the admissible
 start-time domains left by the already-scheduled set.  When an activity does
 not fit, level 1 unschedules a victim and retries; level 2 co-schedules the
 two repeat offenders as a pair; level 3 restarts from an almost-empty
-schedule keeping only previously level-3-scheduled activities and the pair's
-predecessors.  A pair may enter level 3 only once, which bounds the loop.
+schedule keeping only previously level-3-scheduled activities and the
+predecessors of the pair, or of the activity alone when no victim is left.
+Each pair or lone activity may enter level 3 only once, which bounds the loop.
 
 A single activity is placed without a search ``Engine``: its least placement
 is the least fixpoint of lower-bound propagation over its arcs, computed by
@@ -407,8 +408,7 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
     heapify(ready)
     problematic: set[int] = set()
     scratch: set[int] = set()
-    level3_pairs: set[frozenset] = set()
-    solo_restarts: set[int] = set()
+    level3_sets: set[frozenset] = set()   # the activities of each level 3
     retry: int | None = None
     iteration_limit = ITERATION_LIMIT_FACTOR * n + 1000
 
@@ -482,54 +482,38 @@ def run_3ls(instance: Instance, bounds: DerivedBounds | None = None,
 
         a_u = choose_unschedule(instance, bounds, store.sched, a_c, thresh)
         problematic.add(a_c)
-        if a_u is None:
-            # nothing co-mapped to clear out: near-scratch restart for a_c alone
-            if a_c in solo_restarts:
-                return fail("level3_exhausted")
-            solo_restarts.add(a_c)
-            keep = scratch | set(instance.dag.pred_closure[a_c])
-            release([x for x in store.sched if x not in keep])
-            placement = sub_model(instance, bounds, store, a_c)
-            stats.level3 += 1
-            if placement is None:
-                return fail("fail")
-            do_insert(placement)
-            scratch |= {a_c} | set(instance.dag.pred_closure[a_c])
-            continue
+        if a_u is not None:
+            do_unschedule(a_u)
+            if a_u not in problematic:
+                retry = a_c   # try a_c again without a_u in the way
+                continue
 
-        do_unschedule(a_u)
-        if a_u not in problematic:
-            retry = a_c   # try a_c again without a_u in the way
-            continue
+            # level 2: co-schedule the two problematic activities
+            placement = sub_model(instance, bounds, store, a_c, a_u,
+                                  remaining())
+            if placement is not None:
+                do_insert(placement)
+                stats.level2 += 1
+                continue
+            if out_of_time():
+                return fail("timeout")
 
-        # level 2: co-schedule the two problematic activities
-        placement = sub_model(instance, bounds, store, a_c, a_u,
-                              remaining())
-        if placement is not None:
-            do_insert(placement)
-            stats.level2 += 1
-            continue
-        if out_of_time():
-            return fail("timeout")
-
-        # level 3: almost from scratch
-        pair = frozenset((a_c, a_u))
-        if pair in level3_pairs:
+        # level 3: almost from scratch, for a_c alone when no victim is left
+        acts = (a_c,) if a_u is None else (a_c, a_u)
+        if frozenset(acts) in level3_sets:
             return fail("level3_exhausted")
-        level3_pairs.add(pair)
+        level3_sets.add(frozenset(acts))
         stats.level3 += 1
         if stats.level3 > n * n:
             raise RuntimeError("level-3 invocation bound exceeded")
-        keep = (scratch | set(instance.dag.pred_closure[a_c])
-                | set(instance.dag.pred_closure[a_u]))
+        keep = scratch.union(*(instance.dag.pred_closure[x] for x in acts))
         release([x for x in store.sched if x not in keep])
-        placement = sub_model(instance, bounds, store, a_c, a_u,
-                              remaining())
+        placement = sub_model(instance, bounds, store, *acts,
+                              time_limit=remaining())
         if placement is None:
             return fail("timeout" if out_of_time() else "fail")
         do_insert(placement)
-        scratch |= ({a_c, a_u} | set(instance.dag.pred_closure[a_c])
-                    | set(instance.dag.pred_closure[a_u]))
+        scratch = keep | set(acts)
 
     rows = [store.sched[i] for i in range(n)]
     zj = tuple(a.jitter == 0 for a in instance.activities)

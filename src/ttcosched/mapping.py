@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .model import MESSAGE, TASK, Instance
+from .model import MESSAGE, TASK, Instance, PrecedenceDAG
 
 
 @dataclass
@@ -160,7 +160,6 @@ def remap_instance(instance: Instance, method: str = "greedy",
     for chain in instance.chains:
         chains.append(tuple(new_id[x] for x in chain if x not in dropped))
 
-    from .model import PrecedenceDAG
     dag = PrecedenceDAG(len(acts), edges)
     inst = Instance(tuple(acts), instance.platform, dag, tuple(chains),
                     name=instance.name)

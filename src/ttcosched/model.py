@@ -180,7 +180,10 @@ class Instance:
             if a.kind == MESSAGE:
                 if not self.platform.is_port(a.resource):
                     raise ValueError(f"message {a.id} must map to an input port")
-                if a.sender is not None and self.activities[a.sender].period != a.period:
+                if not all(x is not None and 0 <= x < n and self.activities[x].kind == TASK
+                           for x in (a.sender, a.receiver)):
+                    raise ValueError(f"message {a.id}: sender and receiver must be tasks")
+                if self.activities[a.sender].period != a.period:
                     raise ValueError(f"message {a.id}: period differs from sender")
         if self.dag.n != n:
             raise ValueError("DAG size does not match activity count")

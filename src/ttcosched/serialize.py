@@ -16,6 +16,11 @@ class InputError(ValueError):
     """Malformed or unsupported input file."""
 
 
+PLATFORM_INTS = ("cores", "core_freq_hz", "mem_bandwidth", "granularity_us")
+ACTIVITY_INTS = ("id", "period", "exec", "jitter", "resource", "size", "sender",
+                 "receiver")
+
+
 def instance_to_dict(instance: Instance) -> dict:
     p = instance.platform
     return {
@@ -41,11 +46,22 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def instance_from_dict(data: dict) -> Instance:
+def _ints(values, what: str) -> tuple:
+    """``values`` as a tuple, if every one is an integer (``bool`` is not)."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{what} must be integers, got {values!r}")
+    return values
+
+
+def instance_from_dict(data) -> Instance:
     try:
+        if not isinstance(data, dict):
+            raise TypeError("the top level must be a JSON object")
         if data.get("schema") != SCHEMA:
-            raise InputError(f"unsupported schema {data.get('schema')!r}")
+            raise ValueError(f"unsupported schema {data.get('schema')!r}")
         pd = data["platform"]
+        _ints((pd[k] for k in PLATFORM_INTS if k in pd), "the platform's sizes")
         platform = Platform(
             cores=pd["cores"],
             core_freq_hz=pd.get("core_freq_hz", 125_000_000),
@@ -53,6 +69,9 @@ def instance_from_dict(data: dict) -> Instance:
             mem_latency_us=pd.get("mem_latency_us", 0.0),
             granularity_us=pd.get("granularity_us", 1),
         )
+        for i, ad in enumerate(data["activities"]):
+            _ints((ad[k] for k in ACTIVITY_INTS if k in ad and ad[k] is not None),
+                  f"the integer fields of activity {i}")
         acts = tuple(
             Activity(
                 id=ad["id"], kind=ad["kind"], period=ad["period"],
@@ -62,12 +81,11 @@ def instance_from_dict(data: dict) -> Instance:
             )
             for ad in data["activities"]
         )
-        dag = PrecedenceDAG(len(acts), [tuple(e) for e in data.get("dag_edges", [])])
-        chains = tuple(tuple(c) for c in data.get("chains", []))
+        dag = PrecedenceDAG(len(acts), [_ints(e, "edge ends")
+                                        for e in data.get("dag_edges", [])])
+        chains = tuple(_ints(c, "chain entries") for c in data.get("chains", []))
         return Instance(acts, platform, dag, chains,
                         name=data.get("name", "instance"))
-    except InputError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad instance file: {exc}") from exc
 
@@ -80,16 +98,17 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     }
 
 
-def schedule_from_dict(data: dict) -> Schedule:
+def schedule_from_dict(data) -> Schedule:
     try:
+        if not isinstance(data, dict):
+            raise TypeError("the top level must be a JSON object")
         if data.get("schema") != SCHEMA:
-            raise InputError(f"unsupported schema {data.get('schema')!r}")
+            raise ValueError(f"unsupported schema {data.get('schema')!r}")
         n = len(data["starts"])
-        starts = tuple(tuple(data["starts"][str(i)]) for i in range(n))
+        starts = tuple(_ints(data["starts"][str(i)], f"starts of activity {i}")
+                       for i in range(n))
         zj = tuple(bool(data["zj"][str(i)]) for i in range(n))
         return Schedule(starts, zj)
-    except InputError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad schedule file: {exc}") from exc
 

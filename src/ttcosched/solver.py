@@ -99,12 +99,11 @@ class SolveResult:
         return self.status == FEASIBLE
 
 
-def build_model(instance: Instance, bounds: DerivedBounds | None = None,
-                mode: str = JC, improvements: bool = True) -> BuiltModel:
+def build_model(instance: Instance, mode: str = JC,
+                improvements: bool = True) -> BuiltModel:
     if mode not in (ZJ, JC):
         raise ValueError(f"unknown mode {mode!r}")
-    if bounds is None:
-        bounds = derive_bounds(instance)
+    bounds = derive_bounds(instance)
     acts = instance.activities
     model = BuiltModel(instance=instance, bounds=bounds, mode=mode,
                        improvements=improvements, job_vars=[], var_of={},
@@ -236,11 +235,10 @@ def solve(model: BuiltModel, time_limit: float | None = None) -> SolveResult:
 
 
 def solve_instance(instance: Instance, mode: str = JC, improvements: bool = True,
-                   time_limit: float | None = None,
-                   bounds: DerivedBounds | None = None) -> SolveResult:
+                   time_limit: float | None = None) -> SolveResult:
     """Build + solve, mapping an empty window straight to infeasible."""
     try:
-        model = build_model(instance, bounds, mode, improvements)
+        model = build_model(instance, mode, improvements)
     except ModelInfeasible:
         return SolveResult(INFEASIBLE, None)
     return solve(model, time_limit)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Instance, ShapeError, derive_bounds
+from .model import Instance, ShapeError
 
 WINDOW = "Window"
 RESOURCE_OVERLAP = "ResourceOverlap"

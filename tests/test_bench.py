@@ -1,6 +1,5 @@
 import csv
 import json
-from pathlib import Path
 
 from ttcosched import cli
 from ttcosched.bench import (ExperimentSpec, SweepLimits, apply_mode,
@@ -10,10 +9,9 @@ from ttcosched.gantt import render_gantt
 from ttcosched.generator import GenParams, generate, scale_to_utilization
 from ttcosched.model import Activity, Instance, Platform, PrecedenceDAG
 from ttcosched.serialize import (instance_from_dict, instance_to_dict,
-                                 load_instance, load_schedule, save_instance,
+                                 load_instance, save_instance,
                                  schedule_from_dict, schedule_to_dict)
 from ttcosched.solver import solve_instance
-from ttcosched.validation import Schedule
 
 
 def _base(pa=1000, pb=1500, ea=200, eb=300):
@@ -87,7 +85,6 @@ def test_rewrite_periods():
 def test_run_experiment_csv_deterministic(tmp_path):
     spec = ExperimentSpec(
         experiment="jitter-sweep", sets=(1,), seeds=(0,), methods=("3ls",),
-        jitter_modes=("zj", "jc:p2"),
         limits=SweepLimits(time_limit=10, u_start=10, u_max=14),
     )
     files_a = run_experiment(spec, tmp_path / "a")

@@ -22,8 +22,6 @@ def test_set_table_matches_published_parameters():
 def test_unknown_set_id():
     with pytest.raises(ParamError):
         GenParams.from_set(9)
-    with pytest.raises(ParamError):
-        GenParams.from_set(1, bogus=3)
 
 
 def test_generate_set1_shape():

@@ -2,8 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from ttcosched.mapping import (Mapping, derive_message_mapping, map_exact,
-                               map_greedy, remap_instance)
+from ttcosched.mapping import (derive_message_mapping, map_exact, map_greedy,
+                               remap_instance)
 from ttcosched.model import Activity, Instance, Platform, PrecedenceDAG
 from ttcosched.validation import utilization
 

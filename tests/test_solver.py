@@ -160,9 +160,8 @@ def test_jitter_monotonicity():
 
 def test_variable_accounting():
     inst = fig1_witness()
-    bounds = derive_bounds(inst)
-    model = build_model(inst, bounds, mode=JC)
-    n_jobs = bounds.total_jobs
+    model = build_model(inst, mode=JC)
+    n_jobs = model.bounds.total_jobs
     assert len(model.job_vars) == n_jobs
     grid = [p for p in model.pairs if not p.wrap]
     assert len(grid) <= n_jobs * (n_jobs - 1) // 2

@@ -88,3 +88,90 @@ def test_every_dataclass_field_is_read_in_the_program():
               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
               and stmt.target.id not in read]
     assert sorted(unread) == sorted(READ_OUTSIDE_THE_PROGRAM)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # ``__init__.py`` imports names to re-export them; any other module
+    # imports a name once, at the top, and uses it
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        seen = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used or name in seen:
+                    found.append(f"{path.name}:{node.lineno}:{name}")
+                seen.add(name)
+    assert found == []
+
+
+# Defaulted parameters that only tests pass, each with what needs them.
+PASSED_FROM_TESTS = {
+    "cli.main(argv)",                     # the CLI tests
+    "validation.Schedule.from_lists(zj)",  # tests/oracle_utils.py, test_validation.py
+}
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _passed_parameters(paths) -> dict[str, list[tuple[int, set[str], bool]]]:
+    # callee name -> (positional count, keyword names, unpacks) per call
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            unpacks = (any(isinstance(arg, ast.Starred) for arg in node.args)
+                       or any(kw.arg is None for kw in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {kw.arg for kw in node.keywords}, unpacks))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    # a default that no call in the program or the benchmark overrides is a
+    # setting with one value: it belongs in the body.  Calls are matched by
+    # name, so a parameter counts as passed if any same-named callee gets it
+    modules = sorted(SOURCE.glob("*.py"))
+    calls = _passed_parameters(
+        modules + [p for p in sorted(BENCHMARK.glob("*.py"))
+                   if not p.name.startswith("test_")])
+    defs = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{path.stem}.{node.name}", node, False))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{path.stem}.{node.name}.{sub.name}", sub,
+                          not any(getattr(d, "id", None) == "staticmethod"
+                                  for d in sub.decorator_list))
+                         for sub in node.body if isinstance(sub, ast.FunctionDef)]
+    unpassed = []
+    for qualname, node, bound in defs:
+        if node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first_default = len(positional) - len(args.defaults)
+        if bound:
+            positional, first_default = positional[1:], first_default - 1
+        defaulted = [(k, arg.arg) for k, arg in enumerate(positional)
+                     if k >= first_default]
+        defaulted += [(None, arg.arg) for arg, default
+                      in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        for index, param in defaulted:
+            if not any(unpacks or param in keywords
+                       or (index is not None and count > index)
+                       for count, keywords, unpacks in calls.get(node.name, [])):
+                unpassed.append(f"{qualname}({param})")
+    assert sorted(unpassed) == sorted(PASSED_FROM_TESTS)

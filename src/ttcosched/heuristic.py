@@ -11,9 +11,10 @@ Each pair or lone activity may enter level 3 only once, which bounds the loop.
 
 A single activity is placed without a search ``Engine``: its least placement
 is the least fixpoint of lower-bound propagation over its arcs, computed by
-alternating passes over its jobs.  That reads only each job domain's least
-member and ``snap_ge``, so the domains list their gaps only for a pair,
-which still builds an Engine and searches.
+alternating passes over its jobs.  That reads only each job's least member
+and ``snap_ge``, which walk the store's busy blocks and wrap rows in place:
+no object is built per job and no row list is merged.  Gaps are listed only
+for a pair, which still builds an Engine and searches.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class DomainStore:
     inside its window.  The first- and last-job rows of the scheduled
     activities are kept sorted per resource too: through the hyper-period
     wrap they also constrain the last and the first job of the activity
-    asked about.
+    asked about.  ``domains`` reads all these lists in place.
     """
 
     def __init__(self, instance: Instance, bounds: DerivedBounds):
@@ -137,127 +138,126 @@ class DomainStore:
         lo, hi = _job_window(self.instance.activities[act], self.bounds, job)
         return lo, hi - 1
 
-    def domains(self, act: int) -> list[IntervalSet]:
-        """Current domain of every job of ``act`` given the scheduled set.
+    def domains(self, act: int) -> _JobDomains:
+        """The domains of every job of ``act`` given the scheduled set.
 
-        Each is a ``_JobDomain`` holding its window and the busy blocks
-        inside it.  Its least member is found here; its gaps are listed only
-        when something reads them (an Engine over a pair, ``==`` or
-        ``intervals``), so placing a single activity lists none.
+        One ``_JobDomains`` view over the resource's blocks and wrap rows.
+        Each job's window start after the predecessor trim and its least
+        member are found here; its gaps are listed only when the job is read
+        by index, as a pair's Engine does, so placing a single activity
+        lists none.
         """
         inst = self.instance
         a = inst.activities[act]
         e, p, res = a.exec_time, a.period, a.resource
         n = self.bounds.jobs[act]
-        hyper = self.bounds.hyper_period
         bs, be = self._blocks[res]
         preds = [(self.sched[w], inst.activities[w].exec_time)
                  for w in inst.dag.pred[act] if w in self.sched]
         lo1, hi1 = self.window(act, 1)
-        out = []
-        for j in range(n):
-            lo = lo1 + j * p
-            hi = hi1 + j * p
+        doms = _JobDomains(bs, be, self._firsts[res], self._lasts[res],
+                           self.bounds.hyper_period, e, p, hi1, n)
+        lows, least = doms.lows, doms.least
+        nb, width = len(bs), hi1 - lo1
+        for j, x in enumerate(range(lo1, lo1 + n * p, p)):
+            hi = x + width
             for pred_starts, pred_e in preds:
-                if pred_starts[j] + pred_e > lo:
-                    lo = pred_starts[j] + pred_e
-            # the blocks ending after lo that start before hi + e
-            k0 = bisect_right(be, lo)
-            k1 = bisect_left(bs, hi + e, k0)
-            starts, ends = bs[k0:k1], be[k0:k1]
-            # wrap: this first job (+H) meets the last jobs, i.e. the last
-            # jobs shifted by -H; the first jobs (+H) meet this last job
-            if j == 0:
-                _add_rows(starts, ends,
-                          _shifted(self._lasts[res], lo, hi + e, -hyper))
-            if j == n - 1:
-                _add_rows(starts, ends,
-                          _shifted(self._firsts[res], lo, hi + e, hyper))
-            out.append(_JobDomain(lo, hi, e, starts, ends))
-        return out
+                if pred_starts[j] + pred_e > x:
+                    x = pred_starts[j] + pred_e
+            lows.append(x)
+            # blocks ending by x do not reach a start >= x
+            k = bisect_right(be, x)
+            while k < nb and bs[k] - e < x:
+                x = be[k]
+                k += 1
+            least.append(x if x <= hi else None)
+        # the wrap rows constrain the first and the last job too
+        for j in {0, n - 1}:
+            if least[j] is not None:
+                least[j] = doms.snap_ge(j, least[j])
+        return doms
 
 
-class _JobDomain(IntervalSet):
-    """The starts in ``[lo, hi]`` of a job of ``e`` ticks that meet none of
-    the busy blocks ``[starts[k], ends[k])``, which are sorted and disjoint.
+class _JobDomains:
+    """The domains of the ``n`` jobs of one activity of ``e`` ticks.
 
-    ``least``, ``min``, ``is_empty`` and ``snap_ge`` walk the blocks.  The
-    gaps are listed the first time anything else reads ``_ivs``, through
-    which every other ``IntervalSet`` method works.
+    Job ``j`` (0-based) may start in ``[lows[j], hi1 + j * p]`` where it
+    meets none of the busy blocks ``[bs[k], be[k])``.  Through the
+    hyper-period wrap, the first job also meets none of the last-job rows
+    moved by -H, and the last job none of the first-job rows moved by +H.
+    The view holds the store's lists by reference, so it describes the
+    store as it stands: nothing holds one across ``insert`` or ``remove``.
+    ``least[j]`` is job ``j``'s least member, or None; ``snap_ge`` walks
+    the blocks and rows, and ``self[j]`` lists the gaps as an IntervalSet.
     """
 
-    __slots__ = ("lo", "hi", "e", "starts", "ends", "least", "_gaps")
+    __slots__ = ("bs", "be", "e", "p", "hi1", "n", "wrap", "lows", "least")
 
-    def __init__(self, lo: int, hi: int, e: int, starts: list[int],
-                 ends: list[int]):
-        self.lo, self.hi, self.e = lo, hi, e
-        self.starts, self.ends = starts, ends
-        self._gaps = None
-        self.least = self.snap_ge(lo)
+    def __init__(self, bs, be, firsts, lasts, hyper, e, p, hi1, n):
+        self.bs, self.be, self.e, self.p, self.hi1, self.n = bs, be, e, p, hi1, n
+        # the sorted, disjoint row lists, with their shift, that the first
+        # and the last job meet through the wrap; a lone job meets both
+        self.wrap = {0: [(lasts, -hyper)]}
+        self.wrap.setdefault(n - 1, []).append((firsts, hyper))
+        self.lows: list[int] = []
+        self.least: list[int | None] = []
 
-    @property
-    def _ivs(self) -> list[tuple[int, int]]:
-        if self._gaps is None:
-            self._gaps = self._list_gaps()
-        return self._gaps
-
-    def _list_gaps(self) -> list[tuple[int, int]]:
-        # the gap from cur (a member, or the end of a block) to the next
-        # block's start s admits [cur, s - e]
-        cur, hi, e = self.least, self.hi, self.e
-        starts, ends = self.starts, self.ends
-        ivs = []
-        if cur is None:
-            return ivs
-        for k in range(bisect_right(ends, cur), len(starts)):
-            top = starts[k] - e
-            if top >= cur:
-                if top >= hi:
-                    break
-                ivs.append((cur, top))
-            cur = ends[k]
-        if cur <= hi:
-            ivs.append((cur, hi))
-        return ivs
-
-    def is_empty(self) -> bool:
-        return self.least is None
-
-    def min(self) -> int:
-        return self.least
-
-    def snap_ge(self, x: int):
-        """Smallest member >= x, or None."""
-        if x < self.lo:
-            x = self.lo
-        starts, ends, e = self.starts, self.ends, self.e
-        # blocks ending by x do not reach a start >= x
-        for k in range(bisect_right(ends, x), len(starts)):
-            if starts[k] - e >= x:
+    def snap_ge(self, j: int, x: int):
+        """Least member of job ``j``'s domain >= x, or None."""
+        if x < self.lows[j]:
+            x = self.lows[j]
+        hi = self.hi1 + j * self.p
+        bs, be, e = self.bs, self.be, self.e
+        rows = self.wrap.get(j, ())
+        while x <= hi:
+            # blocks ending by x do not reach a start >= x
+            k = bisect_right(be, x)
+            while k < len(bs) and bs[k] - e < x:
+                x = be[k]
+                k += 1
+            y = x
+            for row, shift in rows:
+                # the row before the first starting at y or later may still
+                # end after y
+                for k in range(max(bisect_left(row, (y - shift,)) - 1, 0),
+                               len(row)):
+                    s, t = row[k]
+                    if s + shift - e >= y:
+                        break
+                    if t + shift > y:
+                        y = t + shift
+            if y == x:
                 break
-            x = ends[k]
-        return x if x <= self.hi else None
+            x = y
+        return x if x <= hi else None
 
+    def __getitem__(self, j: int) -> IntervalSet:
+        # a member x meets nothing, so the first block and the first row
+        # that end after x start at x + e or later and bound its gap
+        hi = self.hi1 + j * self.p
+        bs, be, e = self.bs, self.be, self.e
+        rows = self.wrap.get(j, ())
+        ivs = []
+        x = self.least[j]
+        while x is not None:
+            k = bisect_right(be, x)
+            top = bs[k] - e if k < len(bs) and bs[k] - e < hi else hi
+            for row, shift in rows:
+                k = bisect_left(row, (x - shift + 1,))
+                if k < len(row) and row[k][0] + shift - e < top:
+                    top = row[k][0] + shift - e
+            ivs.append((x, top))
+            x = self.snap_ge(j, top + 1)
+        return IntervalSet(ivs)
 
-def _add_rows(starts: list[int], ends: list[int], rows) -> None:
-    """Merge ``[s, t)`` rows, which may overlap them, into the sorted
-    disjoint blocks ``starts``/``ends``."""
-    for s, t in rows:
-        # the blocks from i to k - 1 overlap or touch [s, t)
-        i = bisect_left(ends, s)
-        k = bisect_right(starts, t, i)
-        if i < k:
-            s, t = min(s, starts[i]), max(t, ends[k - 1])
-        starts[i:k] = [s]
-        ends[i:k] = [t]
+    def __len__(self) -> int:
+        return self.n
 
+    def __iter__(self):
+        return (self[j] for j in range(self.n))
 
-def _shifted(rows, lo: int, stop: int, shift: int) -> list[tuple[int, int]]:
-    """``rows`` moved by ``shift`` that may end after ``lo`` and start before
-    ``stop``; rows never overlap, so at most one starts before ``lo``."""
-    i = max(bisect_left(rows, (lo - shift,)) - 1, 0)
-    k = bisect_left(rows, (stop - shift,), i)
-    return [(s + shift, t + shift) for s, t in rows[i:k]]
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
 
 
 def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
@@ -267,18 +267,16 @@ def sub_model(instance: Instance, bounds: DerivedBounds, store: DomainStore,
 
     Returns ``{act: starts}`` or None.  Each activity's jobs are joined by
     the arcs of ``_own_arcs``.  A single activity takes the least solution
-    of its arcs, found by ``_least_starts`` without an Engine: greedy
-    earliest placement, which reads no gap list of its domains.  A pair adds
+    of its arcs, found by ``_least_starts`` without an Engine from the
+    domains' least members and ``snap_ge``, which list no gaps.  A pair adds
     the mutual precedence arcs and the resource disjunctions of
     ``model._job_pairs`` over the domains' spans, and an Engine over the gap
     lists of both activities' domains searches it within ``time_limit`` and
     ``PAIR_NODE_LIMIT`` nodes.
     """
     if a2 is None:
-        doms = store.domains(a1)
-        if any(dom.is_empty() for dom in doms):
-            return None
-        starts = _least_starts(doms, _own_arcs(instance.activities[a1], bounds))
+        starts = _least_starts(store.domains(a1),
+                               _own_arcs(instance.activities[a1], bounds))
         return None if starts is None else {a1: tuple(starts)}
 
     acts = [a1, a2]
@@ -331,7 +329,7 @@ def _own_arcs(a: Activity, bounds: DerivedBounds) -> list[tuple[int, int, int]]:
     return _job_arcs(a, bounds, hi - lo)
 
 
-def _least_starts(doms: list[IntervalSet], arcs) -> list[int] | None:
+def _least_starts(doms: _JobDomains, arcs) -> list[int] | None:
     """The least starts over ``doms`` that satisfy ``arcs``, or None.
 
     The solutions of difference arcs over unary domains are closed under
@@ -343,14 +341,16 @@ def _least_starts(doms: list[IntervalSet], arcs) -> list[int] | None:
     domains, so the passes stop; no cycle of ``_job_arcs`` weighs more than
     0, so no bound creeps up a cycle tick by tick.
     """
-    lb = [dom.min() for dom in doms]
+    lb = list(doms.least)
+    if None in lb:
+        return None
     moved = True
     while moved:
         moved = False
         for j, k, c in arcs:
             need = lb[j] + c
             if need > lb[k]:
-                need = doms[k].snap_ge(need)
+                need = doms.snap_ge(k, need)
                 if need is None:
                     return None
                 lb[k] = need

@@ -107,7 +107,9 @@ def schedule_from_dict(data) -> Schedule:
         n = len(data["starts"])
         starts = tuple(_ints(data["starts"][str(i)], f"starts of activity {i}")
                        for i in range(n))
-        zj = tuple(bool(data["zj"][str(i)]) for i in range(n))
+        zj = tuple(data["zj"][str(i)] for i in range(n))
+        if any(type(z) is not bool for z in zj):
+            raise TypeError(f"the zj flags must be booleans, got {zj!r}")
         return Schedule(starts, zj)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad schedule file: {exc}") from exc

@@ -9,6 +9,18 @@ from ttcosched.intervals import IntervalSet
 from ttcosched.model import Activity, Instance, Platform, PrecedenceDAG, derive_bounds
 
 
+class ListedDomains(list):
+    """Job domains given as a list of IntervalSets, read the way
+    ``DomainStore.domains`` is read: ``least`` and ``snap_ge(j, x)``."""
+
+    @property
+    def least(self):
+        return [None if dom.is_empty() else dom.min() for dom in self]
+
+    def snap_ge(self, j, x):
+        return self[j].snap_ge(x)
+
+
 class FixedDomainStore(DomainStore):
     """DomainStore whose admissible sets are injected by the test."""
 
@@ -17,7 +29,7 @@ class FixedDomainStore(DomainStore):
         self.fixed = fixed
 
     def domains(self, act):
-        return self.fixed[act]
+        return ListedDomains(self.fixed[act])
 
 
 def random_subproblem(rng: random.Random):

@@ -66,6 +66,19 @@ def test_non_integer_fields_are_input_errors(tmp_path):
         assert _run(tmp_path, bad, SCHEDULE_DICT) == (cli.EXIT_INPUT,) * 2
 
 
+def test_zj_flags_other_than_json_booleans_are_input_errors(tmp_path):
+    # a truthy string or number read as a stored zero-jitter flag would
+    # change the schedule's memory_bytes
+    for value in ("false", "no", "", 0.5, 0, 1, None, [False]):
+        bad = copy.deepcopy(SCHEDULE_DICT)
+        bad["zj"]["0"] = value
+        assert _run(tmp_path, INSTANCE_DICT, bad)[0] == cli.EXIT_INPUT, value
+    for value in (False, True):
+        good = copy.deepcopy(SCHEDULE_DICT)
+        good["zj"]["0"] = value
+        assert _run(tmp_path, INSTANCE_DICT, good)[0] != cli.EXIT_INPUT, value
+
+
 def test_a_message_needs_a_sender_and_a_receiver_task(tmp_path):
     for field, value in (("sender", 9), ("receiver", -1), ("receiver", 2),
                          ("sender", None)):

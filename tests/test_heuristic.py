@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import time
 
@@ -7,7 +8,7 @@ import pytest
 from engine_oracle import engine_place_one
 from oracle_utils import fig1_witness, random_tiny_instance
 from rowstore_oracle import fresh_blocks, row_domains
-from subproblem_utils import brute_force_min_sum, random_subproblem
+from subproblem_utils import ListedDomains, brute_force_min_sum, random_subproblem
 from ttcosched import bench, generator, heuristic, search
 from ttcosched.bench import apply_mode
 from ttcosched.generator import GenParams
@@ -90,7 +91,7 @@ def test_single_job_earliest():
 
     class Fixed(DomainStore):
         def domains(self, act):
-            return [IntervalSet([(3, 9)])]
+            return ListedDomains([IntervalSet([(3, 9)])])
 
     store = Fixed(inst, bounds)
     placement = sub_model(inst, bounds, store, 0)
@@ -108,8 +109,8 @@ def test_zero_jitter_pair_min_sum():
     class Fixed(DomainStore):
         def domains(self, act):
             if act == 0:
-                return [IntervalSet([(0, 4)]), IntervalSet([(12, 16)])]
-            return [IntervalSet([(0, 39)])]
+                return ListedDomains([IntervalSet([(0, 4)]), IntervalSet([(12, 16)])])
+            return ListedDomains([IntervalSet([(0, 39)])])
 
     store = Fixed(inst, bounds)
     placement = sub_model(inst, bounds, store, 0)
@@ -243,18 +244,18 @@ def _assert_matches_rows(store):
               for r, (starts, ends) in store._blocks.items()}
     assert blocks == fresh_blocks(store)
     for act in range(inst.n):
-        for got, want in zip(store.domains(act), row_domains(store, act),
-                             strict=True):
+        doms, wants = store.domains(act), row_domains(store, act)
+        assert len(doms) == len(wants), act
+        for j, want in enumerate(wants):
             # the walks that list no gaps, then the gaps themselves
-            assert got.is_empty() == want.is_empty(), act
-            probes = {got.lo - 1, got.lo, got.hi, got.hi + 1}
+            assert doms.least[j] == (None if want.is_empty() else want.min()), act
+            lo, hi = store.window(act, j + 1)
+            probes = {lo - 1, lo, hi, hi + 1}
             for lo, hi in want.intervals:
                 probes |= {lo - 1, lo, hi, hi + 1}
             for x in probes:
-                assert got.snap_ge(x) == want.snap_ge(x), (act, x)
-            if not want.is_empty():
-                assert got.min() == want.min(), act
-            assert got == want, act
+                assert doms.snap_ge(j, x) == want.snap_ge(x), (act, j, x)
+            assert doms[j] == want, (act, j)
 
 
 def test_domain_store_matches_row_oracle_under_random_edits():
@@ -287,6 +288,77 @@ def test_domain_store_matches_row_oracle_under_random_edits():
             _assert_matches_rows(store)
 
 
+def _wrap_store(target: Activity):
+    """One core, H = 20, with ``target`` pending and four activities placed.
+
+    Through the wrap, the last rows of 1 and 2, [21, 22) and [23, 24), meet
+    a first job at [1, 2) and [3, 4), and their first rows meet a last job
+    at [25, 26) and [28, 29); activity 3 (p = H, at 30) meets a first job at
+    [10, 12), and activity 4 (p = H, at 13) a last job at [33, 34).
+    """
+    acts = (target,
+            Activity(1, "task", 10, 1, 50, 0), Activity(2, "task", 10, 1, 50, 0),
+            Activity(3, "task", 20, 2, 50, 0), Activity(4, "task", 20, 1, 50, 0))
+    inst = Instance(acts, Platform(cores=1), PrecedenceDAG(5))
+    bounds = derive_bounds(inst)
+    assert bounds.hyper_period == 20
+    store = DomainStore(inst, bounds)
+    for act, starts in ((1, (5, 21)), (2, (8, 23)), (3, (30,)), (4, (13,))):
+        store.insert(act, starts)
+    return inst, bounds, store
+
+
+def _assert_snaps_and_places_like_the_oracles(inst, bounds, store):
+    doms, wants = store.domains(0), row_domains(store, 0)
+    assert doms == wants
+    for j, want in enumerate(wants):
+        lo, hi = store.window(0, j + 1)
+        for x in range(lo, hi + 2):
+            assert doms.snap_ge(j, x) == want.snap_ge(x), (j, x)
+    placement = sub_model(inst, bounds, store, 0)
+    assert placement == engine_place_one(inst, bounds, wants, 0)
+    return doms, placement
+
+
+@pytest.mark.parametrize("jitter", [0, 3, 50])
+def test_a_first_job_snaps_past_two_wrapped_last_rows(jitter):
+    inst, bounds, store = _wrap_store(Activity(0, "task", 10, 2, jitter, 0))
+    doms, placement = _assert_snaps_and_places_like_the_oracles(inst, bounds, store)
+    # from 0 the rows [1, 2) and [3, 4) lead to 4, then block [5, 6) to 6
+    assert doms.least[0] == 6
+    assert doms[0].intervals == [(6, 6), (14, 17)]
+    assert doms[1].intervals == [(10, 11), (14, 19), (26, 26)]
+    assert placement is not None
+
+
+def test_a_lone_job_snaps_past_wrapped_rows_on_both_sides():
+    inst, bounds, store = _wrap_store(Activity(0, "task", 20, 2, 50, 0))
+    doms, placement = _assert_snaps_and_places_like_the_oracles(inst, bounds, store)
+    assert len(doms) == 1
+    assert doms[0].intervals == [(6, 6), (14, 19), (26, 26), (34, 37)]
+    # blocks, then rows, then blocks again: 7 -> 9 -> 12 -> 14, 27 -> 29 -> 32 -> 34
+    assert (doms.snap_ge(0, 7), doms.snap_ge(0, 27)) == (14, 34)
+    assert placement == {0: (6,)}
+
+
+# 3-LS places every EMS activity at level 1; the digests are those of the
+# schedules before level 1 read the busy blocks in place
+EMS_DIGESTS = {
+    "zj": "81fbe3ceeefb11df25affc3a288bd18afa243fc3c1ca9c7101510d65f2383205",
+    "jc:p5": "ff1fd85f7d2f206fc15b453cf6b42f0d1f3defa6e13c8b0de40faaee4c0b78c9",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EMS_DIGESTS))
+def test_run_3ls_places_ems_at_level_1_as_pinned(mode):
+    inst = apply_mode(generator.ems_case_study(0), mode)
+    schedule, stats = run_3ls(inst)
+    assert stats.status == "ok"
+    assert (stats.level1, stats.level2, stats.level3) == (10_846, 0, 0)
+    digest = hashlib.sha256(repr(schedule.starts).encode()).hexdigest()
+    assert digest == EMS_DIGESTS[mode]
+
+
 def test_insert_rejects_overlapping_rows():
     inst, bounds = _running_example()
     store = DomainStore(inst, bounds)
@@ -305,7 +377,7 @@ def test_run_3ls_on_set2_places_like_the_row_oracle(monkeypatch, seed, mode):
             got = super().domains(act)
             want = row_domains(self, act)
             assert got == want, act
-            return want
+            return ListedDomains(want)
 
     base = generator.generate(GenParams.from_set(2, seed))
     top = bench.max_util_sweep(base, "3ls", mode).max_util
